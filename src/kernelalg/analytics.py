@@ -301,7 +301,10 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
 
 
 def mgf(x: RealRV, mu: Measure, t) -> float:
-    """Moment generating function of an observable at an exact argument t."""
+    """Moment generating function of an observable at an exact argument t.
+
+    inf when the value exceeds the float range.
+    """
     if mu.space != x.domain:
         raise SpaceMismatch(
             f"observable on {x.domain} does not match measure space {mu.space}"
@@ -311,8 +314,28 @@ def mgf(x: RealRV, mu: Measure, t) -> float:
     acc = 0.0
     for w, v in zip(mu.weights, x.values):
         if not w.is_zero():
-            acc += float(w) * math.exp(float(t * v))
+            acc += float(w) * _exp(float(t * v))
     return acc
+
+
+def _log_mgf(x: RealRV, mu: Measure, t: Fraction) -> float:
+    """log mgf(t) for a probability measure on x's domain, finite past exp's range.
+
+    Log-sum-exp: the largest exponent t*v is factored out exactly, so every
+    remaining exp has a nonpositive argument.
+    """
+    terms = [(w, t * v) for w, v in zip(mu.weights, x.values) if not w.is_zero()]
+    top = max(e for _, e in terms)
+    scaled = sum(float(w) * math.exp(float(e - top)) for w, e in terms)
+    return float(top) + math.log(scaled)
+
+
+def _exp(value: float) -> float:
+    """math.exp, with inf where the result overflows a float."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
 
 
 # -- sub-Gaussian certification ---------------------------------------------------
@@ -444,12 +467,14 @@ def certify_grid(
     if constant < 0:
         raise KernelAlgError("sub-Gaussian constant must be nonnegative")
     rows = _scope_rows(x, scope)
+    # mgf(t) > bound * (1 + slack), compared in log space: either side
+    # overflows a float once t*v or c t^2 / 2 passes ~709.
+    log_slack = math.log1p(_GRID_SLACK)
     for t in _grid_points(grid_t, grid_step):
-        bound = math.exp(float(constant * t * t / 2))
+        log_bound = float(constant * t * t / 2)
         for row in rows:
-            value = mgf(x, row, t)
-            if value > bound * (1.0 + _GRID_SLACK):
-                raise GridViolation(t, value, bound)
+            if _log_mgf(x, row, t) > log_bound + log_slack:
+                raise GridViolation(t, mgf(x, row, t), _exp(log_bound))
     return SubgaussianCertificate(
         variable=x,
         constant=constant,

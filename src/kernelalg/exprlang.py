@@ -4,7 +4,9 @@ Expressions are typechecked before anything is evaluated: every subexpression
 resolves to a sort (kernel with its domain and codomain, measure with its
 space, density table, float, boolean) and any mismatch is reported with the
 full space expressions on both sides, which makes forgotten rebracketings
-visible at a glance.  Evaluation then dispatches to the core modules.
+visible at a glance.  Evaluation then dispatches to the core modules.  Each
+operator is declared once, in `OPERATORS`, with its parameter kinds, type
+rule and evaluator.
 
 Grammar: a call `op(arg, ...)`, a bare name declared in the document, a space
 expression (`unit` or `(S x T)`), or a rational literal, depending on the
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import algebra as alg
 from .analytics import (
@@ -27,7 +30,7 @@ from .analytics import (
 from .bayes import posterior
 from .conditioning import cond_indep_fun, indep_fun
 from .disintegration import cond_kernel, cond_kernel_measure, rn_deriv, singular_part
-from .document import Document, Tokenizer
+from .document import Document, Tokenizer, _parse_rational
 from .errors import ArityError, ExprTypeError, KdSyntaxError, UnknownName
 from .measures import Kernel
 from .sequential import traj_kernel
@@ -57,7 +60,7 @@ class Name:
 
 @dataclass
 class SpaceArg:
-    space: SpaceExpr
+    space: object  # a SpaceExpr, a Name, or a (left, right) pair of these
     line: int
     col: int
 
@@ -100,15 +103,6 @@ class TDensity:
 T_FLOAT = "float"
 T_BOOL = "boolean"
 
-_ARITIES = {
-    "comp": 2, "parallel": 2, "prod": 2, "compProd": 2, "condKernel": 1,
-    "posterior": 2, "mcomp": 2, "mcompProd": 2, "fst": 1, "snd": 1,
-    "swapOn": 2, "assocOn": 3, "assocInvOn": 3, "det": 1, "const": 2,
-    "copy": 1, "discard": 1, "idk": 1, "rnDeriv": 2, "singular": 2,
-    "entropy": 1, "kentropy": 2, "kl": 2, "condkl": 3, "renyi": 3,
-    "indep": 3, "condindep": 4, "traj": 2,
-}
-
 
 # -- parsing -----------------------------------------------------------------------
 
@@ -131,7 +125,7 @@ def _parse_node(tz: Tokenizer):
         if tok.text == "unit":
             return SpaceArg(UNIT, tok.line, tok.col)
         if tz.at("("):
-            if tok.text not in _ARITIES:
+            if tok.text not in OPERATORS:
                 raise UnknownName(
                     f"unknown operator {tok.text!r}", tok.line, tok.col
                 )
@@ -143,36 +137,19 @@ def _parse_node(tz: Tokenizer):
                     tz.next()
                     args.append(_parse_node(tz))
             tz.expect(")")
-            if len(args) != _ARITIES[tok.text]:
+            arity = len(OPERATORS[tok.text].kinds)
+            if len(args) != arity:
                 raise ArityError(
-                    f"{tok.text} takes {_ARITIES[tok.text]} arguments, got {len(args)}",
+                    f"{tok.text} takes {arity} arguments, got {len(args)}",
                     tok.line,
                     tok.col,
                 )
             return Call(tok.text, args, tok.line, tok.col)
         return Name(tok.text, tok.line, tok.col)
     if tok.kind == "int":
-        tz.next()
-        value = Fraction(int(tok.text))
-        if tz.at("/"):
-            tz.next()
-            den = tz.expect("int")
-            if int(den.text) == 0:
-                raise KdSyntaxError("zero denominator", den.line, den.col)
-            value = Fraction(int(tok.text), int(den.text))
-        return RatArg(value, tok.line, tok.col)
+        return RatArg(_parse_rational(tz), tok.line, tok.col)
     if tok.kind == "(":
-        # space product literal: (S x T)
-        tz.next()
-        left = _parse_space_operand(tz)
-        x = tz.expect("ident")
-        if x.text != "x":
-            raise KdSyntaxError(
-                f"expected 'x' between product factors, got {x.text!r}", x.line, x.col
-            )
-        right = _parse_space_operand(tz)
-        tz.expect(")")
-        return SpaceArg(("product", left, right), tok.line, tok.col)
+        return SpaceArg(_parse_space_operand(tz), tok.line, tok.col)
     raise KdSyntaxError(
         f"unexpected token {tok.text or 'end of input'!r} in expression",
         tok.line,
@@ -181,12 +158,13 @@ def _parse_node(tz: Tokenizer):
 
 
 def _parse_space_operand(tz: Tokenizer):
+    """`unit`, a space name (a Name node) or `(S x T)` (a pair of operands)."""
     tok = tz.peek()
     if tok.kind == "ident":
         tz.next()
         if tok.text == "unit":
             return UNIT
-        return ("name", tok.text, tok.line, tok.col)
+        return Name(tok.text, tok.line, tok.col)
     if tok.kind == "(":
         tz.next()
         left = _parse_space_operand(tz)
@@ -197,81 +175,64 @@ def _parse_space_operand(tz: Tokenizer):
             )
         right = _parse_space_operand(tz)
         tz.expect(")")
-        return ("product", left, right)
+        return (left, right)
     raise KdSyntaxError(
         f"expected a space expression, got {tok.text!r}", tok.line, tok.col
     )
 
 
-# -- resolution helpers --------------------------------------------------------------
+# -- argument resolution -------------------------------------------------------------
 
 
-def _resolve_space(doc: Document, raw, line, col) -> SpaceExpr:
-    if isinstance(raw, SpaceExpr):
-        return raw
-    if raw[0] == "name":
-        _, name, nline, ncol = raw
-        if name not in doc.spaces:
-            raise UnknownName(f"no space named {name!r}", nline, ncol)
-        return doc.spaces[name]
-    _, left, right = raw
-    return Product(
-        _resolve_space(doc, left, line, col), _resolve_space(doc, right, line, col)
-    )
+def _fail(node, message):
+    raise ExprTypeError(message, node.line, node.col)
 
 
 def _space_arg(doc: Document, node) -> SpaceExpr:
     if isinstance(node, SpaceArg):
-        return _resolve_space(doc, node.space, node.line, node.col)
+        node = node.space
     if isinstance(node, Name):
-        if node.text in doc.spaces:
-            return doc.spaces[node.text]
-        raise UnknownName(f"no space named {node.text!r}", node.line, node.col)
-    raise ExprTypeError(
-        "expected a space expression here", _pos(node)[0], _pos(node)[1]
-    )
+        return doc.lookup("space", node.text, node)
+    if isinstance(node, SpaceExpr):
+        return node
+    if isinstance(node, tuple):
+        return Product(_space_arg(doc, node[0]), _space_arg(doc, node[1]))
+    _fail(node, "expected a space expression here")
 
 
-def _rv_arg(doc: Document, node):
-    if isinstance(node, Name):
-        if node.text in doc.rvs:
-            return doc.rvs[node.text]
-        raise UnknownName(f"no rv named {node.text!r}", node.line, node.col)
-    raise ExprTypeError("expected the name of an rv here", _pos(node)[0], _pos(node)[1])
+def _named_arg(sort, what):
+    def resolve(doc: Document, node):
+        if not isinstance(node, Name):
+            _fail(node, f"expected the name of {what} here")
+        return doc.lookup(sort, node.text, node)
+
+    return resolve
 
 
-def _chain_arg(doc: Document, node):
-    if isinstance(node, Name):
-        if node.text in doc.chains:
-            return doc.chains[node.text]
-        raise UnknownName(f"no chain named {node.text!r}", node.line, node.col)
-    raise ExprTypeError(
-        "expected the name of a chain here", _pos(node)[0], _pos(node)[1]
-    )
+def _rat_arg(doc: Document, node) -> Fraction:
+    if not isinstance(node, RatArg):
+        _fail(node, "expected a rational literal here")
+    return node.value
 
 
-def _rat_arg(node) -> Fraction:
-    if isinstance(node, RatArg):
-        return node.value
-    raise ExprTypeError(
-        "expected a rational literal here", _pos(node)[0], _pos(node)[1]
-    )
+def _int_arg(doc: Document, node) -> int:
+    if not (isinstance(node, RatArg) and node.value.denominator == 1):
+        _fail(node, "expected an integer literal here")
+    return int(node.value)
 
 
-def _int_arg(node) -> int:
-    if isinstance(node, RatArg) and node.value.denominator == 1:
-        return int(node.value)
-    raise ExprTypeError(
-        "expected an integer literal here", _pos(node)[0], _pos(node)[1]
-    )
-
-
-def _pos(node):
-    return node.line, node.col
-
-
-def _fail(node, message):
-    raise ExprTypeError(message, *_pos(node))
+# Parameter kinds whose argument is not an expression: its type and its value
+# are the same resolved object.
+_LEAF_KINDS = {
+    "space": _space_arg,
+    "rv": _named_arg("rv", "an rv"),
+    "chain": _named_arg("chain", "a chain"),
+    "rat": _rat_arg,
+    "int": _int_arg,
+}
+# Expression kinds checked before the type rule runs; "expr" (kernel or
+# measure) is left to the rule.
+_SORT_KINDS = {"kernel": TKernel, "measure": TMeasure}
 
 
 def _name_sorts(doc: Document, node: Name):
@@ -304,294 +265,160 @@ def infer_type(doc: Document, node):
         _fail(node, "a bare rational is not an expression")
     if isinstance(node, SpaceArg):
         _fail(node, "a bare space expression is not an expression")
-    return _CHECKERS[node.op](doc, node)
+    op = OPERATORS[node.op]
+    return op.rule(
+        node, *(_arg_type(doc, kind, arg) for kind, arg in zip(op.kinds, node.args))
+    )
 
 
-def _expect_kernel(doc, node) -> TKernel:
+def _arg_type(doc: Document, kind, node):
+    if kind in _LEAF_KINDS:
+        return _LEAF_KINDS[kind](doc, node)
     t = infer_type(doc, node)
-    if not isinstance(t, TKernel):
-        _fail(node, f"expected a kernel, got {t}")
+    if kind in _SORT_KINDS and not isinstance(t, _SORT_KINDS[kind]):
+        _fail(node, f"expected a {kind}, got {t}")
     return t
 
 
-def _expect_measure(doc, node) -> TMeasure:
-    t = infer_type(doc, node)
-    if not isinstance(t, TMeasure):
-        _fail(node, f"expected a measure, got {t}")
-    return t
-
-
-def _expect_product(node, space, what) -> Product:
+def _joint(node, t) -> Product:
+    """The product space a kernel-or-measure argument splits."""
+    if isinstance(t, TKernel):
+        what, space = "the kernel codomain", t.cod
+    elif isinstance(t, TMeasure):
+        what, space = "the measure space", t.space
+    else:
+        _fail(node, f"{node.op} expects a kernel or measure, got {t}")
     if not isinstance(space, Product):
-        _fail(node, f"{what} must be a product space, got {space}")
+        _fail(node, f"{node.op}: {what} must be a product space, got {space}")
     return space
 
 
-def _check_comp(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    if t2.cod != t1.dom:
+def _require_same_shape(node, f, g):
+    if f != g:
+        _fail(node, f"{node.op}: kernel shapes differ ({f} vs {g})")
+
+
+def _require_same_space(node, m1, m2):
+    if m1.space != m2.space:
         _fail(
             node,
-            "comp: output space of the second kernel is "
-            f"{t2.cod} but the first kernel consumes {t1.dom}",
+            f"{node.op}: measures on different spaces ({m1.space} vs {m2.space})",
         )
-    return TKernel(t2.dom, t1.cod)
 
 
-def _check_parallel(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    return TKernel(Product(t1.dom, t2.dom), Product(t1.cod, t2.cod))
+def _require_on_domain(node, m, f):
+    if m.space != f.dom:
+        _fail(node, f"{node.op}: measure on {m.space}, kernel domain {f.dom}")
 
 
-def _check_prod(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    if t1.dom != t2.dom:
-        _fail(node, f"prod: domains differ ({t1.dom} vs {t2.dom})")
-    return TKernel(t1.dom, Product(t1.cod, t2.cod))
-
-
-def _check_comp_prod(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    expected = Product(t1.dom, t1.cod)
-    if t2.dom != expected:
+def _comp_type(node, f, g):
+    if g.cod != f.dom:
         _fail(
             node,
-            f"compProd: second kernel must have domain {expected} "
-            f"but has {t2.dom}",
+            f"{node.op}: output space of the second kernel is "
+            f"{g.cod} but the first kernel consumes {f.dom}",
         )
-    return TKernel(t1.dom, Product(t1.cod, t2.cod))
+    return TKernel(g.dom, f.cod)
 
 
-def _check_cond_kernel(doc, node):
-    t = infer_type(doc, node.args[0])
-    if isinstance(t, TKernel):
-        cod = _expect_product(node, t.cod, "condKernel: the kernel codomain")
-        return TKernel(Product(t.dom, cod.left), cod.right)
-    if isinstance(t, TMeasure):
-        space = _expect_product(node, t.space, "condKernel: the measure space")
-        return TKernel(space.left, space.right)
-    _fail(node, f"condKernel expects a kernel or measure, got {t}")
+def _prod_type(node, f, g):
+    if f.dom != g.dom:
+        _fail(node, f"{node.op}: domains differ ({f.dom} vs {g.dom})")
+    return TKernel(f.dom, Product(f.cod, g.cod))
 
 
-def _check_posterior(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_measure(doc, node.args[1])
-    if t2.space != t1.dom:
+def _comp_prod_type(node, f, g):
+    expected = Product(f.dom, f.cod)
+    if g.dom != expected:
         _fail(
             node,
-            f"posterior: prior lives on {t2.space}, kernel domain is {t1.dom}",
+            f"{node.op}: second kernel must have domain {expected} but has {g.dom}",
         )
-    return TKernel(t1.cod, t1.dom)
+    return TKernel(f.dom, Product(f.cod, g.cod))
 
 
-def _check_mcomp(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_measure(doc, node.args[1])
-    if t2.space != t1.dom:
-        _fail(node, f"mcomp: measure on {t2.space}, kernel domain {t1.dom}")
-    return TMeasure(t1.cod)
-
-
-def _check_mcomp_prod(doc, node):
-    t1 = _expect_measure(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    if t1.space != t2.dom:
-        _fail(node, f"mcompProd: measure on {t1.space}, kernel domain {t2.dom}")
-    return TMeasure(Product(t2.dom, t2.cod))
-
-
-def _check_fst(doc, node):
-    t = infer_type(doc, node.args[0])
+def _cond_kernel_type(node, t):
+    joint = _joint(node, t)
     if isinstance(t, TKernel):
-        cod = _expect_product(node, t.cod, "fst: the kernel codomain")
-        return TKernel(t.dom, cod.left)
-    if isinstance(t, TMeasure):
-        space = _expect_product(node, t.space, "fst: the measure space")
-        return TMeasure(space.left)
-    _fail(node, f"fst expects a kernel or measure, got {t}")
+        return TKernel(Product(t.dom, joint.left), joint.right)
+    return TKernel(joint.left, joint.right)
 
 
-def _check_snd(doc, node):
-    t = infer_type(doc, node.args[0])
-    if isinstance(t, TKernel):
-        cod = _expect_product(node, t.cod, "snd: the kernel codomain")
-        return TKernel(t.dom, cod.right)
-    if isinstance(t, TMeasure):
-        space = _expect_product(node, t.space, "snd: the measure space")
-        return TMeasure(space.right)
-    _fail(node, f"snd expects a kernel or measure, got {t}")
+def _marginal_type(side):
+    def rule(node, t):
+        space = getattr(_joint(node, t), side)
+        return TKernel(t.dom, space) if isinstance(t, TKernel) else TMeasure(space)
+
+    return rule
 
 
-def _check_swap_on(doc, node):
-    s = _space_arg(doc, node.args[0])
-    t = _space_arg(doc, node.args[1])
-    return TKernel(Product(s, t), Product(t, s))
+def _posterior_type(node, f, m):
+    if m.space != f.dom:
+        _fail(node, f"{node.op}: prior lives on {m.space}, kernel domain is {f.dom}")
+    return TKernel(f.cod, f.dom)
 
 
-def _check_assoc_on(doc, node):
-    a, b, c = (_space_arg(doc, arg) for arg in node.args)
-    return TKernel(Product(a, Product(b, c)), Product(Product(a, b), c))
+def _mcomp_type(node, f, m):
+    _require_on_domain(node, m, f)
+    return TMeasure(f.cod)
 
 
-def _check_assoc_inv_on(doc, node):
-    a, b, c = (_space_arg(doc, arg) for arg in node.args)
-    return TKernel(Product(Product(a, b), c), Product(a, Product(b, c)))
+def _mcomp_prod_type(node, m, f):
+    _require_on_domain(node, m, f)
+    return TMeasure(Product(f.dom, f.cod))
 
 
-def _check_det(doc, node):
-    rv = _rv_arg(doc, node.args[0])
-    return TKernel(rv.domain, rv.codomain)
+def _rn_deriv_type(node, f, g):
+    _require_same_shape(node, f, g)
+    return TDensity(Product(f.dom, f.cod))
 
 
-def _check_const(doc, node):
-    s = _space_arg(doc, node.args[0])
-    t = _expect_measure(doc, node.args[1])
-    return TKernel(s, t.space)
+def _singular_type(node, f, g):
+    _require_same_shape(node, f, g)
+    return f
 
 
-def _check_copy(doc, node):
-    s = _space_arg(doc, node.args[0])
-    return TKernel(s, Product(s, s))
-
-
-def _check_discard(doc, node):
-    s = _space_arg(doc, node.args[0])
-    return TKernel(s, UNIT)
-
-
-def _check_idk(doc, node):
-    s = _space_arg(doc, node.args[0])
-    return TKernel(s, s)
-
-
-def _check_same_shape_pair(doc, node, what):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_kernel(doc, node.args[1])
-    if t1 != t2:
-        _fail(node, f"{what}: kernel shapes differ ({t1} vs {t2})")
-    return t1
-
-
-def _check_rn_deriv(doc, node):
-    t = _check_same_shape_pair(doc, node, "rnDeriv")
-    return TDensity(Product(t.dom, t.cod))
-
-
-def _check_singular(doc, node):
-    return _check_same_shape_pair(doc, node, "singular")
-
-
-def _check_entropy(doc, node):
-    _expect_measure(doc, node.args[0])
+def _kentropy_type(node, f, m):
+    _require_on_domain(node, m, f)
     return T_FLOAT
 
 
-def _check_kentropy(doc, node):
-    t1 = _expect_kernel(doc, node.args[0])
-    t2 = _expect_measure(doc, node.args[1])
-    if t2.space != t1.dom:
-        _fail(node, f"kentropy: measure on {t2.space}, kernel domain {t1.dom}")
+def _kl_type(node, m1, m2):
+    _require_same_space(node, m1, m2)
     return T_FLOAT
 
 
-def _check_kl(doc, node):
-    t1 = _expect_measure(doc, node.args[0])
-    t2 = _expect_measure(doc, node.args[1])
-    if t1.space != t2.space:
-        _fail(node, f"kl: measures on different spaces ({t1.space} vs {t2.space})")
+def _condkl_type(node, f, g, m):
+    _require_same_shape(node, f, g)
+    _require_on_domain(node, m, f)
     return T_FLOAT
 
 
-def _check_condkl(doc, node):
-    t = _check_same_shape_pair(doc, node, "condkl")
-    tm = _expect_measure(doc, node.args[2])
-    if tm.space != t.dom:
-        _fail(node, f"condkl: measure on {tm.space}, kernel domain {t.dom}")
+def _renyi_type(node, alpha, m1, m2):
+    _require_same_space(node, m1, m2)
     return T_FLOAT
 
 
-def _check_renyi(doc, node):
-    _rat_arg(node.args[0])
-    t1 = _expect_measure(doc, node.args[1])
-    t2 = _expect_measure(doc, node.args[2])
-    if t1.space != t2.space:
-        _fail(node, f"renyi: measures on different spaces ({t1.space} vs {t2.space})")
-    return T_FLOAT
-
-
-def _check_indep(doc, node):
-    x = _rv_arg(doc, node.args[0])
-    y = _rv_arg(doc, node.args[1])
-    tm = _expect_measure(doc, node.args[2])
-    if not (x.domain == y.domain == tm.space):
+def _indep_type(node, *args):
+    *rvs, m = args
+    if any(rv.domain != m.space for rv in rvs):
+        domains = ", ".join(str(rv.domain) for rv in rvs)
         _fail(
             node,
-            f"indep: rv domains {x.domain}, {y.domain} and measure space "
-            f"{tm.space} must all agree",
+            f"{node.op}: rv domains {domains} and measure space {m.space} "
+            "must all agree",
         )
     return T_BOOL
 
 
-def _check_condindep(doc, node):
-    x = _rv_arg(doc, node.args[0])
-    y = _rv_arg(doc, node.args[1])
-    z = _rv_arg(doc, node.args[2])
-    tm = _expect_measure(doc, node.args[3])
-    if not (x.domain == y.domain == z.domain == tm.space):
-        _fail(
-            node,
-            f"condindep: rv domains {x.domain}, {y.domain}, {z.domain} and "
-            f"measure space {tm.space} must all agree",
-        )
-    return T_BOOL
-
-
-def _check_traj(doc, node):
-    chain = _chain_arg(doc, node.args[0])
-    n = _int_arg(node.args[1])
+def _traj_type(node, chain, n):
     if not 1 <= n <= len(chain.steps):
         _fail(node.args[1], f"horizon {n} outside 1..{len(chain.steps)}")
     outs = chain.output_spaces()
     traj_space = outs[0]
-    for i in range(1, n):
-        traj_space = Product(traj_space, outs[i])
+    for out in outs[1:n]:
+        traj_space = Product(traj_space, out)
     return TKernel(chain.start, traj_space)
-
-
-_CHECKERS = {
-    "comp": _check_comp,
-    "parallel": _check_parallel,
-    "prod": _check_prod,
-    "compProd": _check_comp_prod,
-    "condKernel": _check_cond_kernel,
-    "posterior": _check_posterior,
-    "mcomp": _check_mcomp,
-    "mcompProd": _check_mcomp_prod,
-    "fst": _check_fst,
-    "snd": _check_snd,
-    "swapOn": _check_swap_on,
-    "assocOn": _check_assoc_on,
-    "assocInvOn": _check_assoc_inv_on,
-    "det": _check_det,
-    "const": _check_const,
-    "copy": _check_copy,
-    "discard": _check_discard,
-    "idk": _check_idk,
-    "rnDeriv": _check_rn_deriv,
-    "singular": _check_singular,
-    "entropy": _check_entropy,
-    "kentropy": _check_kentropy,
-    "kl": _check_kl,
-    "condkl": _check_condkl,
-    "renyi": _check_renyi,
-    "indep": _check_indep,
-    "condindep": _check_condindep,
-    "traj": _check_traj,
-}
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -602,87 +429,148 @@ def eval_expr(doc: Document, node):
     if isinstance(node, Name):
         sort, obj = _name_sorts(doc, node)[0]
         return obj
-    args = node.args
-    op = node.op
-    if op == "comp":
-        return alg.compose(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "parallel":
-        return alg.parallel(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "prod":
-        return alg.prod(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "compProd":
-        return alg.comp_prod(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "condKernel":
-        value = eval_expr(doc, args[0])
-        if isinstance(value, Kernel):
-            return cond_kernel(value)
-        return cond_kernel_measure(value)
-    if op == "posterior":
-        return posterior(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "mcomp":
-        return alg.comp_measure(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "mcompProd":
-        return alg.comp_prod_measure(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "fst":
-        value = eval_expr(doc, args[0])
-        if isinstance(value, Kernel):
-            return alg.marginal_fst(value)
-        space = value.space
-        return alg.pushforward(value, alg.fst_proj(space.left, space.right))
-    if op == "snd":
-        value = eval_expr(doc, args[0])
-        if isinstance(value, Kernel):
-            return alg.marginal_snd(value)
-        space = value.space
-        return alg.pushforward(value, alg.snd_proj(space.left, space.right))
-    if op == "swapOn":
-        return alg.swap_kernel(_space_arg(doc, args[0]), _space_arg(doc, args[1]))
-    if op == "assocOn":
-        a, b, c = (_space_arg(doc, arg) for arg in args)
-        return alg.assoc_kernel(a, b, c)
-    if op == "assocInvOn":
-        a, b, c = (_space_arg(doc, arg) for arg in args)
-        return alg.assoc_inv_kernel(a, b, c)
-    if op == "det":
-        return alg.deterministic(_rv_arg(doc, args[0]))
-    if op == "const":
-        return alg.const_kernel(_space_arg(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "copy":
-        return alg.copy_kernel(_space_arg(doc, args[0]))
-    if op == "discard":
-        return alg.discard_kernel(_space_arg(doc, args[0]))
-    if op == "idk":
-        return alg.identity_kernel(_space_arg(doc, args[0]))
-    if op == "rnDeriv":
-        return rn_deriv(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "singular":
-        return singular_part(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "entropy":
-        return entropy(eval_expr(doc, args[0]))
-    if op == "kentropy":
-        return kernel_entropy(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "kl":
-        return kl_div(eval_expr(doc, args[0]), eval_expr(doc, args[1]))
-    if op == "condkl":
-        return cond_kl(
-            eval_expr(doc, args[0]), eval_expr(doc, args[1]), eval_expr(doc, args[2])
-        )
-    if op == "renyi":
-        return renyi_div(
-            _rat_arg(args[0]), eval_expr(doc, args[1]), eval_expr(doc, args[2])
-        )
-    if op == "indep":
-        return indep_fun(
-            _rv_arg(doc, args[0]), _rv_arg(doc, args[1]), eval_expr(doc, args[2])
-        )
-    if op == "condindep":
-        z = _rv_arg(doc, args[2])
-        return cond_indep_fun(
-            _rv_arg(doc, args[0]),
-            _rv_arg(doc, args[1]),
-            PartitionSigma.generated_by(z),
-            eval_expr(doc, args[3]),
-        )
-    if op == "traj":
-        return traj_kernel(_chain_arg(doc, args[0]), _int_arg(args[1]))
-    raise UnknownName(f"unknown operator {op!r}", node.line, node.col)
+    op = OPERATORS[node.op]
+    return op.evaluate(
+        *(_arg_value(doc, kind, arg) for kind, arg in zip(op.kinds, node.args))
+    )
+
+
+def _arg_value(doc: Document, kind, node):
+    if kind in _LEAF_KINDS:
+        return _LEAF_KINDS[kind](doc, node)
+    return eval_expr(doc, node)
+
+
+# -- the operator table ----------------------------------------------------------------
+
+
+class Operator(NamedTuple):
+    """One operator: parameter kinds, type rule and evaluator.
+
+    A kind is "kernel", "measure", "expr" (kernel or measure), "space", "rv",
+    "chain", "rat" or "int".  The type rule receives the call node and the
+    resolved argument types (for the non-expression kinds, the resolved
+    space, rv, chain or number); the evaluator receives the resolved values.
+    Evaluators name core functions at call time, through this module's
+    globals, so rebinding a module-level name reaches every call.
+    """
+
+    kinds: tuple
+    rule: Callable
+    evaluate: Callable
+
+
+OPERATORS = {
+    "comp": Operator(
+        ("kernel", "kernel"), _comp_type, lambda f, g: alg.compose(f, g)
+    ),
+    "parallel": Operator(
+        ("kernel", "kernel"),
+        lambda node, f, g: TKernel(Product(f.dom, g.dom), Product(f.cod, g.cod)),
+        lambda f, g: alg.parallel(f, g),
+    ),
+    "prod": Operator(("kernel", "kernel"), _prod_type, lambda f, g: alg.prod(f, g)),
+    "compProd": Operator(
+        ("kernel", "kernel"), _comp_prod_type, lambda f, g: alg.comp_prod(f, g)
+    ),
+    "condKernel": Operator(
+        ("expr",),
+        _cond_kernel_type,
+        lambda v: cond_kernel(v) if isinstance(v, Kernel) else cond_kernel_measure(v),
+    ),
+    "posterior": Operator(
+        ("kernel", "measure"), _posterior_type, lambda f, m: posterior(f, m)
+    ),
+    "mcomp": Operator(
+        ("kernel", "measure"), _mcomp_type, lambda f, m: alg.comp_measure(f, m)
+    ),
+    "mcompProd": Operator(
+        ("measure", "kernel"),
+        _mcomp_prod_type,
+        lambda m, f: alg.comp_prod_measure(m, f),
+    ),
+    "fst": Operator(
+        ("expr",),
+        _marginal_type("left"),
+        lambda v: alg.marginal_fst(v)
+        if isinstance(v, Kernel)
+        else alg.pushforward(v, alg.fst_proj(v.space.left, v.space.right)),
+    ),
+    "snd": Operator(
+        ("expr",),
+        _marginal_type("right"),
+        lambda v: alg.marginal_snd(v)
+        if isinstance(v, Kernel)
+        else alg.pushforward(v, alg.snd_proj(v.space.left, v.space.right)),
+    ),
+    "swapOn": Operator(
+        ("space", "space"),
+        lambda node, s, t: TKernel(Product(s, t), Product(t, s)),
+        lambda s, t: alg.swap_kernel(s, t),
+    ),
+    "assocOn": Operator(
+        ("space", "space", "space"),
+        lambda node, a, b, c: TKernel(
+            Product(a, Product(b, c)), Product(Product(a, b), c)
+        ),
+        lambda a, b, c: alg.assoc_kernel(a, b, c),
+    ),
+    "assocInvOn": Operator(
+        ("space", "space", "space"),
+        lambda node, a, b, c: TKernel(
+            Product(Product(a, b), c), Product(a, Product(b, c))
+        ),
+        lambda a, b, c: alg.assoc_inv_kernel(a, b, c),
+    ),
+    "det": Operator(
+        ("rv",),
+        lambda node, rv: TKernel(rv.domain, rv.codomain),
+        lambda rv: alg.deterministic(rv),
+    ),
+    "const": Operator(
+        ("space", "measure"),
+        lambda node, s, m: TKernel(s, m.space),
+        lambda s, m: alg.const_kernel(s, m),
+    ),
+    "copy": Operator(
+        ("space",),
+        lambda node, s: TKernel(s, Product(s, s)),
+        lambda s: alg.copy_kernel(s),
+    ),
+    "discard": Operator(
+        ("space",), lambda node, s: TKernel(s, UNIT), lambda s: alg.discard_kernel(s)
+    ),
+    "idk": Operator(
+        ("space",), lambda node, s: TKernel(s, s), lambda s: alg.identity_kernel(s)
+    ),
+    "rnDeriv": Operator(
+        ("kernel", "kernel"), _rn_deriv_type, lambda f, g: rn_deriv(f, g)
+    ),
+    "singular": Operator(
+        ("kernel", "kernel"), _singular_type, lambda f, g: singular_part(f, g)
+    ),
+    "entropy": Operator(("measure",), lambda node, m: T_FLOAT, lambda m: entropy(m)),
+    "kentropy": Operator(
+        ("kernel", "measure"), _kentropy_type, lambda f, m: kernel_entropy(f, m)
+    ),
+    "kl": Operator(("measure", "measure"), _kl_type, lambda m1, m2: kl_div(m1, m2)),
+    "condkl": Operator(
+        ("kernel", "kernel", "measure"),
+        _condkl_type,
+        lambda f, g, m: cond_kl(f, g, m),
+    ),
+    "renyi": Operator(
+        ("rat", "measure", "measure"),
+        _renyi_type,
+        lambda alpha, m1, m2: renyi_div(alpha, m1, m2),
+    ),
+    "indep": Operator(
+        ("rv", "rv", "measure"), _indep_type, lambda x, y, m: indep_fun(x, y, m)
+    ),
+    "condindep": Operator(
+        ("rv", "rv", "rv", "measure"),
+        _indep_type,
+        lambda x, y, z, m: cond_indep_fun(x, y, PartitionSigma.generated_by(z), m),
+    ),
+    "traj": Operator(("chain", "int"), _traj_type, lambda c, n: traj_kernel(c, n)),
+}

@@ -4,6 +4,7 @@ from pathlib import Path
 from kernelalg.cli import main
 
 DATA = Path(__file__).parent / "data"
+DOCS = Path(__file__).parent.parent / "docs"
 
 
 def run(capsys, *argv):
@@ -149,6 +150,35 @@ def test_certify_grid_and_violation(capsys):
     )
     assert code == 1
     assert "violation" in err
+
+
+def test_certify_grid_beyond_float_range(capsys, tmp_path):
+    # exp(c t^2 / 2) and, for +-1000, mgf(t) itself overflow a float on the
+    # default grid [-10, 10]
+    code, out, _ = run(
+        capsys,
+        "certify", str(DOCS / "rademacher.kd"),
+        "--rv", "X", "--measure", "mu", "--method", "grid", "--c", "81",
+    )
+    assert code == 0
+    assert out == "certified: c = 81 via gridCheck (plainMeasure)\n"
+    wide = tmp_path / "wide.kd"
+    wide.write_text(
+        "space S { plus minus }\n"
+        "measure mu on S = { plus: 1/2, minus: 1/2 }\n"
+        "realrv X on S = { plus: 1000, minus: -1000 }\n"
+    )
+    args = ["certify", str(wide), "--rv", "X", "--measure", "mu", "--method"]
+    code, out, _ = run(capsys, *args, "bounded")
+    assert code == 0
+    assert out == "certified: c = 1000000 via boundedRange (plainMeasure)\n"
+    code, out, _ = run(capsys, *args, "grid", "--c", "1000000")
+    assert code == 0
+    assert out == "certified: c = 1000000 via gridCheck (plainMeasure)\n"
+    code, out, err = run(capsys, *args, "grid", "--c", "1")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("violation: mgf bound violated at t = -10: mgf = inf > ")
 
 
 def test_hoeffding_json_matches_contract(capsys):

@@ -1,11 +1,24 @@
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from kernelalg.disintegration import DensityTable
 from kernelalg.document import parse_document
 from kernelalg.errors import ArityError, ExprTypeError, KdSyntaxError, UnknownName
-from kernelalg.exprlang import TKernel, TMeasure, eval_expr, infer_type, parse_expr
-from kernelalg.measures import Kernel
+from kernelalg.exprlang import (
+    OPERATORS,
+    T_BOOL,
+    T_FLOAT,
+    TDensity,
+    TKernel,
+    TMeasure,
+    eval_expr,
+    infer_type,
+    parse_expr,
+)
+from kernelalg.measures import Kernel, Measure
 from kernelalg.scalar import Scalar
 from kernelalg.spaces import Product
 
@@ -32,6 +45,7 @@ kernel wide : W -> (A x B) = {
 
 rv swapper : W -> W = { good -> bad, bad -> good }
 rv ident : W -> W = { good -> good, bad -> bad }
+rv side : W -> A = { good -> a, bad -> b }
 
 realrv score on W = { good: 1, bad: -1 }
 
@@ -192,23 +206,68 @@ def test_arity_and_syntax_errors():
         parse_expr("nosuchop(k)")
 
 
+# A case for every operator.  Where a case's spaces coincide (k : W -> W), a
+# second one tells domain from codomain; fst, snd and condKernel get a kernel
+# and a measure.
+PREDICTION_CASES = {
+    "comp": ["comp(k, k)", "comp(wide, const(A, mu))"],
+    "parallel": ["parallel(k, k)", "parallel(k, wide)"],
+    "prod": ["prod(k, k)", "prod(k, wide)"],
+    "compProd": ["compProd(k, const((W x W), rho))"],
+    "condKernel": ["condKernel(wide)", "condKernel(rho)"],
+    "posterior": ["posterior(k, mu)", "posterior(wide, mu)"],
+    "mcomp": ["mcomp(k, mu)", "mcomp(wide, mu)"],
+    "mcompProd": ["mcompProd(mu, k)", "mcompProd(mu, wide)"],
+    "fst": ["fst(rho)", "fst(wide)"],
+    "snd": ["snd(rho)", "snd(wide)"],
+    "swapOn": ["swapOn(W, (A x B))"],
+    "assocOn": ["assocOn(W, A, B)"],
+    "assocInvOn": ["assocInvOn(W, (A x unit), B)"],
+    "det": ["det(swapper)", "det(side)"],
+    "const": ["const(A, mu)"],
+    "copy": ["copy((A x B))"],
+    "discard": ["discard(W)"],
+    "idk": ["idk(unit)", "idk((A x B))"],
+    "rnDeriv": ["rnDeriv(wide, wide)"],
+    "singular": ["singular(wide, wide)"],
+    "entropy": ["entropy(rho)"],
+    "kentropy": ["kentropy(k, mu)"],
+    "kl": ["kl(mu, nu)"],
+    "condkl": ["condkl(k, k, mu)"],
+    "renyi": ["renyi(1/2, mu, nu)"],
+    "indep": ["indep(ident, swapper, mu)"],
+    "condindep": ["condindep(ident, swapper, ident, mu)"],
+    "traj": ["traj(c, 3)"],
+}
+
+
 def test_typechecker_predicts_result_spaces():
-    for text in [
-        "comp(k, k)",
-        "parallel(k, k)",
-        "prod(k, k)",
-        "condKernel(wide)",
-        "posterior(k, mu)",
-        "traj(c, 3)",
-        "swapOn(W, (A x B))",
-    ]:
-        t = ty(text)
-        value = ev(text)
-        assert isinstance(t, TKernel)
-        assert value.domain == t.dom
-        assert value.codomain == t.cod
-    for text in ["mcomp(k, mu)", "mcompProd(mu, k)", "fst(rho)", "snd(rho)"]:
-        t = ty(text)
-        value = ev(text)
-        assert isinstance(t, TMeasure)
-        assert value.space == t.space
+    assert set(PREDICTION_CASES) == set(OPERATORS)
+    for op, texts in PREDICTION_CASES.items():
+        for text in texts:
+            assert parse_expr(text).op == op
+            t = ty(text)
+            value = ev(text)
+            if isinstance(t, TKernel):
+                assert isinstance(value, Kernel), text
+                assert (value.domain, value.codomain) == (t.dom, t.cod), text
+            elif isinstance(t, TMeasure):
+                assert isinstance(value, Measure), text
+                assert value.space == t.space, text
+            elif isinstance(t, TDensity):
+                assert isinstance(value, DensityTable), text
+                assert value.domain == t.space, text
+            elif t == T_FLOAT:
+                assert isinstance(value, float), text
+            else:
+                assert t == T_BOOL and isinstance(value, bool), text
+
+
+def test_readme_lists_every_operator_with_its_kinds():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)\([^|]*\| ([^|]*?) +\|", readme, re.M)
+    listed = {name: tuple(kinds.split(", ")) for name, kinds in rows}
+    assert len(listed) == len(rows)
+    assert set(listed) == set(OPERATORS)
+    for name, op in OPERATORS.items():
+        assert listed[name] == op.kinds, name
