@@ -1,6 +1,6 @@
 """Exact algebra of Markov kernels on finite measurable spaces."""
 
-from .scalar import INF, ONE, ZERO, Scalar
+from .scalar import ONE, ZERO, Scalar
 from .spaces import UNIT, Base, FiniteSpace, Product, SpaceExpr, Unit
 from .measures import Kernel, Measure, dirac, uniform, zero_measure
 from .variables import PartitionSigma, RandomVariable, RealRV, pair_rv

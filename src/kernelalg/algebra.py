@@ -185,14 +185,7 @@ def compose(eta: Kernel, kappa: Kernel) -> Kernel:
 
 def measure_product(a: Measure, b: Measure) -> Measure:
     """Product measure on Product(a.space, b.space)."""
-    cod = Product(a.space, b.space)
-    weights = []
-    for wa in a.weights:
-        if wa.is_zero():
-            weights.extend([ZERO] * b.space.size)
-        else:
-            weights.extend(wa * wb if not wb.is_zero() else ZERO for wb in b.weights)
-    return Measure._unchecked(cod, tuple(weights))
+    return _product_row(Product(a.space, b.space), a, b)
 
 
 def parallel(kappa: Kernel, eta: Kernel) -> Kernel:

@@ -11,12 +11,7 @@ same kernel, which the law suite checks as modification invariance.
 from __future__ import annotations
 
 from .algebra import comp_prod, marginal_fst
-from .errors import (
-    EmptyCodomainZ,
-    InfiniteWeight,
-    NotAProductCodomain,
-    SpaceMismatch,
-)
+from .errors import EmptyCodomainZ, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, uniform
 from .scalar import ZERO, Scalar, as_scalar
 from .spaces import Product, SpaceExpr
@@ -47,9 +42,6 @@ class DensityTable:
             raise SpaceMismatch(
                 f"space {domain} has {domain.size} atoms, got {len(values)} values"
             )
-        for v in values:
-            if v.is_infinite:
-                raise InfiniteWeight("density values must be finite")
         self.domain = domain
         self.values = values
 

@@ -61,6 +61,13 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+MAX_NESTING = 100
+"""Deepest parenthesis nesting the tokenizer accepts.
+
+The parsers recurse once per `(` and the typechecker and evaluator once per
+call node, so deeper input is refused with KdSyntaxError up front instead of
+reaching Python's recursion limit."""
+
 
 class Token:
     __slots__ = ("kind", "text", "line", "col")
@@ -82,6 +89,7 @@ class Tokenizer:
         self.tokens = []
         line, col = 1, 1
         pos = 0
+        depth = 0
         while pos < len(text):
             m = _TOKEN_RE.match(text, pos)
             if m is None:
@@ -92,6 +100,14 @@ class Tokenizer:
             chunk = m.group()
             if kind not in ("ws", "comment"):
                 label = chunk if kind == "punct" else kind
+                if label == "(":
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise KdSyntaxError(
+                            f"parentheses nested deeper than {MAX_NESTING}", line, col
+                        )
+                elif label == ")":
+                    depth -= 1
                 self.tokens.append(Token(label, chunk, line, col))
             newlines = chunk.count("\n")
             if newlines:

@@ -16,14 +16,6 @@ class ScalarError(KernelAlgError):
     pass
 
 
-class ZeroOverZero(ScalarError):
-    """Division 0/0 has no limit convention and is rejected."""
-
-
-class InfiniteTimesZero(ScalarError):
-    """The product of the infinite scalar and zero is rejected, not defined."""
-
-
 class NegativeScalar(ScalarError):
     """Scalars are nonnegative; a negative construction is a logic error."""
 
@@ -36,10 +28,6 @@ class SpaceError(KernelAlgError):
 
 class DimensionMismatch(SpaceError):
     """Weight or value count does not match the atom count of a space."""
-
-
-class InfiniteWeight(KernelAlgError):
-    """Measure weights and density values must be finite."""
 
 
 class SpaceMismatch(SpaceError):

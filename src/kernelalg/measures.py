@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .errors import (
     DimensionMismatch,
-    InfiniteWeight,
     NoMarkovIntoEmpty,
     NotAProbabilityMeasure,
     NotMarkov,
@@ -37,9 +36,6 @@ class Measure:
             raise DimensionMismatch(
                 f"space {space} has {space.size} atoms, got {len(weights)} weights"
             )
-        for w in weights:
-            if w.is_infinite:
-                raise InfiniteWeight("measure weights must be finite")
         self.space = space
         self.weights = weights
         self._total = None

@@ -1,33 +1,27 @@
-"""Exact nonnegative rational scalars with an optional infinite value.
+"""Exact finite nonnegative rational scalars.
 
 All measure weights, kernel entries and density values in this package are
 Scalars.  Arithmetic is exact: results are rationals in lowest terms, and the
 algebraic identities the rest of the package relies on (associativity,
 distributivity, exact comparison) hold with equality, never within a
-tolerance.  The infinite value compares greater than every finite value and
-absorbs under addition and multiplication by positive values.
-
-Two operations are deliberately rejected instead of being given a convention:
-0/0 raises ZeroOverZero, and inf * 0 raises InfiniteTimesZero.  No formula in
-this package needs either, so hitting them means a logic error upstream.
+tolerance.  Division by zero raises Python's ZeroDivisionError; every formula
+in this package checks its divisor first, so hitting it means a logic error
+upstream.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .errors import InfiniteTimesZero, NegativeScalar, ZeroOverZero
+from .errors import NegativeScalar
 
-__all__ = ["Scalar", "ZERO", "ONE", "INF", "as_scalar"]
+__all__ = ["Scalar", "ZERO", "ONE", "as_scalar"]
 
 
 class Scalar:
-    """An element of the nonnegative rationals extended with +infinity."""
+    """A nonnegative rational number, kept as a Fraction in lowest terms."""
 
     __slots__ = ("_frac",)
-
-    # _frac is a Fraction for finite values and None for the infinite value.
 
     def __init__(self, numerator=0, denominator=1):
         if isinstance(numerator, Scalar):
@@ -41,99 +35,41 @@ class Scalar:
             raise NegativeScalar(f"scalar must be nonnegative, got {frac}")
         self._frac = frac
 
-    @classmethod
-    def infinity(cls) -> "Scalar":
-        s = object.__new__(cls)
-        s._frac = None
-        return s
-
-    @classmethod
-    def parse(cls, text: str) -> "Scalar":
-        """Parse 'p/q', 'p' or 'inf' (exact, no decimal literals)."""
-        text = text.strip()
-        if text == "inf":
-            return INF
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return cls(int(num), int(den))
-        return cls(int(text))
-
     # -- predicates and views --------------------------------------------
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._frac is None
 
     def is_zero(self) -> bool:
         return self._frac == 0
 
     @property
     def numerator(self) -> int:
-        if self._frac is None:
-            raise InfiniteTimesZero("infinite scalar has no numerator")
         return self._frac.numerator
 
     @property
     def denominator(self) -> int:
-        if self._frac is None:
-            raise InfiniteTimesZero("infinite scalar has no denominator")
         return self._frac.denominator
 
     def as_fraction(self) -> Fraction:
-        if self._frac is None:
-            raise InfiniteWeightGuard()
         return self._frac
 
     def __float__(self) -> float:
-        return math.inf if self._frac is None else float(self._frac)
+        return float(self._frac)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        other = as_scalar(other)
-        if self._frac is None or other._frac is None:
-            return INF
-        return _wrap(self._frac + other._frac)
+        return _wrap(self._frac + as_scalar(other)._frac)
 
     __radd__ = __add__
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        other = as_scalar(other)
-        if self._frac is None or other._frac is None:
-            if (self._frac is not None and self._frac == 0) or (
-                other._frac is not None and other._frac == 0
-            ):
-                raise InfiniteTimesZero("inf * 0 is rejected")
-            return INF
-        return _wrap(self._frac * other._frac)
+        return _wrap(self._frac * as_scalar(other)._frac)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
-        other = as_scalar(other)
-        if other._frac is None:
-            if self._frac is None:
-                raise ZeroOverZero("inf / inf is rejected")
-            return ZERO  # finite / inf, limit convention
-        if other._frac == 0:
-            if self._frac is not None and self._frac == 0:
-                raise ZeroOverZero("0 / 0 is rejected")
-            return INF  # positive / 0, limit convention
-        if self._frac is None:
-            return INF
-        return _wrap(self._frac / other._frac)
+        return _wrap(self._frac / as_scalar(other)._frac)
 
-    # -- total order with inf maximal --------------------------------------
-
-    def compare(self, other: "Scalar") -> int:
-        other = as_scalar(other)
-        if self._frac is None:
-            return 0 if other._frac is None else 1
-        if other._frac is None:
-            return -1
-        if self._frac == other._frac:
-            return 0
-        return -1 if self._frac < other._frac else 1
+    # -- exact total order --------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
@@ -144,31 +80,24 @@ class Scalar:
         return hash(("kernelalg.Scalar", self._frac))
 
     def __lt__(self, other):
-        return self.compare(other) < 0
+        return self._frac < as_scalar(other)._frac
 
     def __le__(self, other):
-        return self.compare(other) <= 0
+        return self._frac <= as_scalar(other)._frac
 
     def __gt__(self, other):
-        return self.compare(other) > 0
+        return self._frac > as_scalar(other)._frac
 
     def __ge__(self, other):
-        return self.compare(other) >= 0
+        return self._frac >= as_scalar(other)._frac
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return "inf" if self._frac is None else str(self._frac)
+        return str(self._frac)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
-
-
-class InfiniteWeightGuard(TypeError):
-    """Internal: as_fraction() called on the infinite scalar."""
-
-    def __init__(self):
-        super().__init__("infinite scalar cannot be viewed as a Fraction")
 
 
 def _wrap(frac: Fraction) -> Scalar:
@@ -188,4 +117,3 @@ def as_scalar(value) -> Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-INF = Scalar.infinity()

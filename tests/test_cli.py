@@ -63,6 +63,19 @@ def test_eval_parse_error_exit_2(capsys, tmp_path):
     assert "1:" in err
 
 
+def test_deep_nesting_exit_2(capsys, tmp_path):
+    expr = "fst(" * 400 + "mu" + ")" * 400
+    code, out, err = run(capsys, "eval", str(DATA / "01_weather.kd"), "--expr", expr)
+    assert code == 2
+    assert err.startswith("error: 1:404: parentheses nested deeper than")
+    deep = tmp_path / "deep.kd"
+    atom = "(" * 2000 + "a" + ")" * 2000
+    deep.write_text(f"space W {{ a }}\nmeasure m on W = {{ {atom}: 1 }}\n")
+    code, out, err = run(capsys, "eval", str(deep), "--expr", "m")
+    assert code == 2
+    assert err.startswith("error: 2:")
+
+
 def test_missing_file_exit_2(capsys):
     code, out, err = run(capsys, "eval", "nosuch.kd", "--expr", "x")
     assert code == 2

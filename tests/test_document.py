@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kernelalg.document import parse_document, serialize_document
+from kernelalg.document import MAX_NESTING, parse_document, serialize_document
 from kernelalg.errors import (
     DocumentError,
     DuplicateName,
@@ -107,6 +107,38 @@ def test_decimals_rejected():
 def test_negative_weight_rejected_for_measures():
     with pytest.raises(KdSyntaxError):
         parse_document("space S { a }\nmeasure m on S = { a: -1 }")
+
+
+def _nested_space(depth):
+    text = "W"
+    for _ in range(depth):
+        text = f"({text} x W)"
+    return text
+
+
+def _nested_atom(depth):
+    return "(" * depth + "a" + ",a)" * depth
+
+
+def test_space_expression_nesting_is_capped():
+    doc = parse_document(
+        f"space W {{ a }}\nmeasure m on {_nested_space(MAX_NESTING)} = "
+        f"{{ {_nested_atom(MAX_NESTING)}: 1 }}"
+    )
+    assert doc.measures["m"].weights == (Scalar(1),)
+    prefix = "measure m on "
+    with pytest.raises(KdSyntaxError) as exc:
+        parse_document(f"space W {{ a }}\n{prefix}{_nested_space(2000)} = {{}}")
+    assert (exc.value.line, exc.value.column) == (2, len(prefix) + MAX_NESTING + 1)
+    assert f"nested deeper than {MAX_NESTING}" in str(exc.value)
+
+
+def test_atom_nesting_is_capped():
+    prefix = "measure m on W = { "
+    deep = "(" * 2000 + "a" + ")" * 2000
+    with pytest.raises(KdSyntaxError) as exc:
+        parse_document(f"space W {{ a }}\n{prefix}{deep}: 1 }}")
+    assert (exc.value.line, exc.value.column) == (2, len(prefix) + MAX_NESTING + 1)
 
 
 def test_signed_values_allowed_for_realrv():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from kernelalg.disintegration import DensityTable
-from kernelalg.document import parse_document
+from kernelalg.document import MAX_NESTING, parse_document
 from kernelalg.errors import ArityError, ExprTypeError, KdSyntaxError, UnknownName
 from kernelalg.exprlang import (
     OPERATORS,
@@ -239,6 +239,20 @@ PREDICTION_CASES = {
     "condindep": ["condindep(ident, swapper, ident, mu)"],
     "traj": ["traj(c, 3)"],
 }
+
+
+def test_expression_nesting_is_capped():
+    space, atom = "W", "a"
+    for _ in range(MAX_NESTING):
+        space, atom = f"({space} x W)", f"({atom},a)"
+    doc = parse_document(f"space W {{ a }}\nmeasure m on {space} = {{ {atom}: 1 }}")
+    node = parse_expr("fst(" * MAX_NESTING + "m" + ")" * MAX_NESTING)
+    w = doc.spaces["W"]
+    assert infer_type(doc, node) == TMeasure(w)
+    assert eval_expr(doc, node) == Measure(w, [1])
+    with pytest.raises(KdSyntaxError) as exc:
+        parse_expr("fst(" * 2000 + "m" + ")" * 2000)
+    assert (exc.value.line, exc.value.column) == (1, 4 * (MAX_NESTING + 1))
 
 
 def test_typechecker_predicts_result_spaces():

@@ -3,15 +3,17 @@ import random
 import pytest
 
 from genlib import random_measure, weather_kernel, weather_space
+from kernelalg.disintegration import DensityTable
 from kernelalg.errors import (
     DimensionMismatch,
-    InfiniteWeight,
+    KernelAlgError,
+    NegativeScalar,
     NoMarkovIntoEmpty,
     NotAProbabilityMeasure,
     NotMarkov,
 )
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
-from kernelalg.scalar import INF, ONE, Scalar
+from kernelalg.scalar import ONE, Scalar
 from kernelalg.spaces import Base, FiniteSpace
 
 
@@ -45,10 +47,13 @@ def test_weight_count_must_match():
         Measure(w, [Scalar(1)])
 
 
-def test_infinite_weight_rejected():
+def test_negative_weight_rejected():
     w = weather_space()
-    with pytest.raises(InfiniteWeight):
-        Measure(w, [INF, Scalar(0)])
+    assert issubclass(NegativeScalar, KernelAlgError)
+    with pytest.raises(NegativeScalar):
+        Measure(w, [-1, 2])
+    with pytest.raises(NegativeScalar):
+        DensityTable(w, [-1, 0])
 
 
 def test_total_additivity_over_disjoint_split():
