@@ -18,8 +18,8 @@ bracketings explicitly.
 from __future__ import annotations
 
 from .errors import NotAProductCodomain, SpaceMismatch
-from .measures import Kernel, Measure, dirac, zero_measure
-from .scalar import ONE, ZERO
+from .measures import Kernel, Measure, zero_measure
+from .scalar import ZERO
 from .spaces import UNIT, Product, SpaceExpr
 from .variables import RandomVariable
 
@@ -60,9 +60,14 @@ __all__ = [
 
 
 def deterministic(f: RandomVariable) -> Kernel:
-    """The kernel sending each atom to the Dirac measure at its image."""
-    rows = tuple(dirac(f.codomain, f.table[a]) for a in f.domain.atoms)
-    return Kernel._unchecked(f.domain, f.codomain, rows)
+    """The kernel sending each atom to the Dirac measure at its image.
+
+    Held as an index map (see Kernel), so composing with it gathers or
+    scatters rows instead of multiplying by Dirac rows.
+    """
+    index_of = f.codomain.index_of
+    index_map = tuple(index_of(f.table[a]) for a in f.domain.atoms)
+    return Kernel._from_map(f.domain, f.codomain, index_map)
 
 
 def identity_kernel(space: SpaceExpr) -> Kernel:
@@ -71,15 +76,13 @@ def identity_kernel(space: SpaceExpr) -> Kernel:
 
 def copy_kernel(space: SpaceExpr) -> Kernel:
     """space -> space x space, each atom to the Dirac measure at (atom, atom)."""
-    cod = Product(space, space)
-    rows = tuple(dirac(cod, (a, a)) for a in space.atoms)
-    return Kernel._unchecked(space, cod, rows)
+    n = space.size
+    return Kernel._from_map(space, Product(space, space), tuple(i * n + i for i in range(n)))
 
 
 def discard_kernel(space: SpaceExpr) -> Kernel:
     """space -> unit, every row the unique probability measure on unit."""
-    row = Measure._unchecked(UNIT, (ONE,))
-    return Kernel._unchecked(space, UNIT, (row,) * space.size)
+    return Kernel._from_map(space, UNIT, (0,) * space.size)
 
 
 def const_kernel(domain: SpaceExpr, measure: Measure) -> Kernel:
@@ -162,6 +165,10 @@ def compose(eta: Kernel, kappa: Kernel) -> Kernel:
     """Sequential composition: run kappa, feed its output into eta.
 
     (eta . kappa)(x)({z}) = sum_y kappa(x)({y}) * eta(y)({z}).
+
+    A deterministic operand is applied as its index map: kappa's map gathers
+    eta's rows, eta's map scatter-adds each of kappa's rows.  Both give the
+    dense result exactly, since w * 1 == w and exact sums ignore order.
     """
     if kappa.codomain != eta.domain:
         raise SpaceMismatch(
@@ -169,18 +176,40 @@ def compose(eta: Kernel, kappa: Kernel) -> Kernel:
             f"({kappa.codomain} vs {eta.domain})"
         )
     cod = eta.codomain
+    if kappa.index_map is not None:
+        if eta.index_map is not None:
+            index_map = tuple(eta.index_map[y] for y in kappa.index_map)
+            return Kernel._from_map(kappa.domain, cod, index_map)
+        eta_rows = eta.rows
+        return Kernel._unchecked(
+            kappa.domain, cod, tuple(eta_rows[y] for y in kappa.index_map)
+        )
+    if eta.index_map is not None:
+        return Kernel._unchecked(
+            kappa.domain, cod, tuple(_scatter(eta, row) for row in kappa.rows)
+        )
     n = cod.size
+    eta_rows = eta.rows
     out_rows = []
     for row in kappa.rows:
         acc = [ZERO] * n
         for yi, wy in enumerate(row.weights):
             if wy.is_zero():
                 continue
-            for zi, wz in enumerate(eta.rows[yi].weights):
+            for zi, wz in enumerate(eta_rows[yi].weights):
                 if not wz.is_zero():
                     acc[zi] = acc[zi] + wy * wz
         out_rows.append(Measure._unchecked(cod, tuple(acc)))
     return Kernel._unchecked(kappa.domain, cod, tuple(out_rows))
+
+
+def _scatter(f: Kernel, mu: Measure) -> Measure:
+    """Push mu through the deterministic kernel f: add each weight at its image."""
+    acc = [ZERO] * f.codomain.size
+    for x, w in zip(f.index_map, mu.weights):
+        if not w.is_zero():
+            acc[x] = acc[x] + w
+    return Measure._unchecked(f.codomain, tuple(acc))
 
 
 def measure_product(a: Measure, b: Measure) -> Measure:
@@ -312,6 +341,8 @@ def comp_measure(kappa: Kernel, mu: Measure) -> Measure:
         raise SpaceMismatch(
             f"measure on {mu.space} cannot feed kernel from {kappa.domain}"
         )
+    if kappa.index_map is not None:
+        return _scatter(kappa, mu)
     acc = [ZERO] * kappa.codomain.size
     for xi, wx in enumerate(mu.weights):
         if wx.is_zero():

@@ -60,6 +60,11 @@ TOLERANCE = 1e-9
 # of every certified inequality dwarfs this by many orders of magnitude.
 _GRID_SLACK = 1e-12
 
+# Most points certify_grid walks, floor(2T/step) + 1; more is refused before
+# any point is built.  The default grid (T = 10, step = 1/100) has 2001, and
+# each point costs one exact mgf per in-scope row.
+MAX_GRID_POINTS = 100_000
+
 
 def entropy(mu: Measure) -> float:
     """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
@@ -445,12 +450,13 @@ def certify_bounded_range(x: RealRV, scope) -> SubgaussianCertificate:
 def _grid_points(grid_t: Fraction, grid_step: Fraction):
     if grid_t <= 0 or grid_step <= 0:
         raise KernelAlgError("grid radius and step must be positive")
-    points = []
-    t = -grid_t
-    while t <= grid_t:
-        points.append(t)
-        t += grid_step
-    return points
+    count = 2 * grid_t // grid_step + 1
+    if count > MAX_GRID_POINTS:
+        raise KernelAlgError(
+            f"grid of {count} points on [-{grid_t}, {grid_t}] exceeds the limit of "
+            f"{MAX_GRID_POINTS} points; use a larger step"
+        )
+    return [-grid_t + i * grid_step for i in range(count)]
 
 
 def certify_grid(

@@ -136,10 +136,11 @@ class Measure:
 
 
 def dirac(space: SpaceExpr, atom) -> Measure:
-    i = space.index_of(atom)
-    return Measure._unchecked(
-        space, tuple(ONE if j == i else ZERO for j in range(space.size))
-    )
+    return _dirac_at(space, space.index_of(atom))
+
+
+def _dirac_at(space: SpaceExpr, i: int) -> Measure:
+    return Measure._unchecked(space, (ZERO,) * i + (ONE,) + (ZERO,) * (space.size - i - 1))
 
 
 def uniform(space: SpaceExpr) -> Measure:
@@ -154,9 +155,16 @@ def zero_measure(space: SpaceExpr) -> Measure:
 
 
 class Kernel:
-    """A transition kernel: one Measure on the codomain per domain atom."""
+    """A transition kernel: one Measure on the codomain per domain atom.
 
-    __slots__ = ("domain", "codomain", "rows")
+    A deterministic kernel is held as an index map instead: one codomain atom
+    index per domain atom.  Its Dirac rows are built on the first read of
+    `rows` and cached there, an idempotent write like `Measure._total`.
+    Operations that special-case the map (compose, comp_measure) never build
+    them.
+    """
+
+    __slots__ = ("domain", "codomain", "index_map", "_rows")
 
     def __init__(self, domain: SpaceExpr, codomain: SpaceExpr, rows):
         rows = tuple(rows)
@@ -171,7 +179,8 @@ class Kernel:
                 )
         self.domain = domain
         self.codomain = codomain
-        self.rows = rows
+        self.index_map = None
+        self._rows = rows
 
     @classmethod
     def from_function(cls, domain, codomain, row_of) -> "Kernel":
@@ -182,8 +191,27 @@ class Kernel:
         k = object.__new__(cls)
         k.domain = domain
         k.codomain = codomain
-        k.rows = rows
+        k.index_map = None
+        k._rows = rows
         return k
+
+    @classmethod
+    def _from_map(cls, domain, codomain, index_map) -> "Kernel":
+        """The deterministic kernel sending domain atom i to codomain atom index_map[i]."""
+        k = object.__new__(cls)
+        k.domain = domain
+        k.codomain = codomain
+        k.index_map = index_map
+        k._rows = None
+        return k
+
+    @property
+    def rows(self):
+        rows = self._rows
+        if rows is None:
+            rows = tuple(_dirac_at(self.codomain, j) for j in self.index_map)
+            self._rows = rows
+        return rows
 
     # -- queries ---------------------------------------------------------------
 
@@ -194,6 +222,8 @@ class Kernel:
         return self.rows[self.domain.index_of(atom)].weight(out_atom)
 
     def is_markov(self) -> bool:
+        if self.index_map is not None:
+            return True
         return all(row.total() == ONE for row in self.rows)
 
     def require_markov(self) -> "Kernel":
@@ -219,11 +249,11 @@ class Kernel:
     def __eq__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and all(a.weights == b.weights for a, b in zip(self.rows, other.rows))
-        )
+        if self.domain != other.domain or self.codomain != other.codomain:
+            return False
+        if self.index_map is not None and other.index_map is not None:
+            return self.index_map == other.index_map
+        return all(a.weights == b.weights for a, b in zip(self.rows, other.rows))
 
     def __hash__(self):
         return hash((self.domain, self.codomain, tuple(r.weights for r in self.rows)))

@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from .algebra import comp_measure, comp_prod, deterministic, prod_mk_left, rebracket_kernel
+from .algebra import (
+    comp_measure,
+    comp_prod,
+    compose,
+    deterministic,
+    prod_mk_left,
+    rebracket_kernel,
+)
 from .errors import HorizonOutOfRange, KernelAlgError, SpaceMismatch
 from .measures import Kernel, Measure
 from .spaces import Product, SpaceExpr
@@ -170,21 +177,10 @@ def traj_kernel(chain: KernelChain, n: int) -> Kernel:
     for i in range(1, n):
         step = chain.steps[i]
         lift_dom = Product(chain.start, xi.codomain)
-        lifted = compose_with_rebracket(step, lift_dom, history)
+        lifted = compose(step, rebracket_kernel(lift_dom, history))
         xi = comp_prod(xi, lifted)
         history = Product(history, step.codomain)
     return xi
-
-
-def compose_with_rebracket(step: Kernel, src: SpaceExpr, dst: SpaceExpr) -> Kernel:
-    """Precompose a step with the canonical re-association src -> dst."""
-    if step.domain != dst:
-        raise SpaceMismatch(
-            f"step domain {step.domain} is not the history space {dst}"
-        )
-    from .algebra import compose
-
-    return compose(step, rebracket_kernel(src, dst))
 
 
 def projection_consistency(chain: KernelChain, n: int, m: int) -> bool:
@@ -203,8 +199,6 @@ def projection_consistency(chain: KernelChain, n: int, m: int) -> bool:
         return atom
 
     proj = RandomVariable.from_function(big.codomain, small.codomain, drop)
-    from .algebra import compose
-
     return compose(deterministic(proj), big) == small
 
 

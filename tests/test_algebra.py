@@ -301,3 +301,77 @@ def test_measure_kernel_views():
     k = alg.measure_as_kernel(mu)
     assert k.domain == UNIT
     assert alg.kernel_as_measure(k) == mu
+
+
+# -- deterministic kernels (index maps) against the dense route ---------------
+
+
+def dense_twin(f: RandomVariable) -> Kernel:
+    """deterministic(f) built the dense way, from explicit Dirac rows."""
+    return Kernel(f.domain, f.codomain, [dirac(f.codomain, f(a)) for a in f.domain.atoms])
+
+
+def fractions_of(k: Kernel) -> list:
+    return [[w.as_fraction() for w in row.weights] for row in k.rows]
+
+
+def test_compose_with_deterministic_matches_dense_oracle():
+    rng = random.Random(40)
+    for _ in range(40):
+        w, x, y, z = (fresh_space(rng) for _ in range(4))
+        f, g = genlib.random_rv(rng, x, y), genlib.random_rv(rng, y, z)
+        before = genlib.random_finite_kernel(rng, w, x, zero_frac=0.3)
+        after = genlib.random_finite_kernel(rng, y, z, zero_frac=0.3)
+        df, dg = alg.deterministic(f), alg.deterministic(g)
+
+        pushed = alg.compose(df, before)
+        assert fractions_of(pushed) == compose_oracle(dense_twin(f), before)
+        assert pushed == alg.compose(dense_twin(f), before)
+
+        pulled = alg.compose(after, df)
+        assert fractions_of(pulled) == compose_oracle(after, dense_twin(f))
+        assert pulled == alg.compose(after, dense_twin(f))
+
+        both = alg.compose(dg, df)
+        assert both.index_map is not None
+        assert fractions_of(both) == compose_oracle(dense_twin(g), dense_twin(f))
+        assert both == alg.compose(dense_twin(g), dense_twin(f))
+        assert alg.compose(dense_twin(g), dense_twin(f)) == both
+
+
+def test_measure_maps_with_deterministic_match_dense_oracle():
+    rng = random.Random(41)
+    for _ in range(40):
+        x, y = fresh_space(rng), fresh_space(rng)
+        f = genlib.random_rv(rng, x, y)
+        mu = genlib.random_measure(rng, x, zero_frac=0.3)
+        expected = compose_oracle(dense_twin(f), alg.measure_as_kernel(mu))[0]
+        pushed = alg.comp_measure(alg.deterministic(f), mu)
+        assert [w.as_fraction() for w in pushed.weights] == expected
+        assert alg.pushforward(mu, f) == pushed
+
+        w, a, b = fresh_space(rng), fresh_space(rng, 3), fresh_space(rng, 3)
+        k = genlib.random_finite_kernel(rng, w, Product(a, b), zero_frac=0.3)
+        fst, snd = dense_twin(alg.fst_proj(a, b)), dense_twin(alg.snd_proj(a, b))
+        assert fractions_of(alg.marginal_fst(k)) == compose_oracle(fst, k)
+        assert fractions_of(alg.marginal_snd(k)) == compose_oracle(snd, k)
+
+
+def test_deterministic_equals_and_hashes_like_its_dense_twin():
+    rng = random.Random(42)
+    for _ in range(40):
+        x, y = fresh_space(rng), fresh_space(rng)
+        f, g = genlib.random_rv(rng, x, y), genlib.random_rv(rng, x, y)
+        df, twin = alg.deterministic(f), dense_twin(f)
+        assert df == twin and twin == df
+        assert hash(df) == hash(twin)
+        assert df.rows == twin.rows
+        assert df.is_markov()
+        same = f.table == g.table
+        assert (alg.deterministic(g) == df) is same
+        assert (dense_twin(g) == df) is same
+        assert (df == dense_twin(g)) is same
+    w = weather_space()
+    ww = Product(w, w)
+    assert alg.copy_kernel(w) == Kernel(w, ww, [dirac(ww, (a, a)) for a in w.atoms])
+    assert Kernel(w, UNIT, [dirac(UNIT, "()")] * w.size) == alg.discard_kernel(w)

@@ -6,7 +6,9 @@ import pytest
 
 from genlib import fresh_space, random_markov_kernel, random_probability, random_rv, weather_kernel
 from kernelalg import algebra as alg
+from kernelalg import analytics
 from kernelalg.analytics import (
+    MAX_GRID_POINTS,
     KernelScope,
     PlainMeasureScope,
     TOLERANCE,
@@ -28,6 +30,7 @@ from kernelalg.analytics import (
 from kernelalg.errors import (
     AlphaOutOfRange,
     GridViolation,
+    KernelAlgError,
     NonzeroMean,
     NotAProbabilityMeasure,
     NotCertified,
@@ -387,6 +390,16 @@ def test_grid_violation_reports_first_point():
         certify_grid(x, PlainMeasureScope(mu), Fraction(1, 2), Fraction(4), Fraction(1, 2))
     assert exc.value.t == -3
     assert math.cosh(3) > math.exp(9 / 4)
+
+
+def test_grid_point_count_is_checked_before_building():
+    # floor(2T/step) + 1 points, the last one at or below T
+    third = Fraction(3, 7)
+    assert analytics._grid_points(Fraction(1), third) == [-1 + i * third for i in range(5)]
+    widest = Fraction(20, MAX_GRID_POINTS - 1)
+    assert len(analytics._grid_points(Fraction(10), widest)) == MAX_GRID_POINTS
+    with pytest.raises(KernelAlgError, match=f"grid of {MAX_GRID_POINTS + 1} points"):
+        analytics._grid_points(Fraction(10), Fraction(20, MAX_GRID_POINTS))
 
 
 def test_certify_dispatch():

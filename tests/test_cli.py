@@ -194,6 +194,22 @@ def test_certify_grid_beyond_float_range(capsys, tmp_path):
     assert err.startswith("violation: mgf bound violated at t = -10: mgf = inf > ")
 
 
+def test_certify_grid_too_fine_exit_2(capsys):
+    # 2 * 10^10 + 1 points; building them used to exhaust memory
+    code, out, err = run(
+        capsys,
+        "certify", str(DOCS / "rademacher.kd"),
+        "--rv", "X", "--measure", "mu", "--method", "grid", "--c", "1",
+        "--grid-step", "1/1000000000",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: grid of 20000000001 points on [-10, 10] exceeds the limit of "
+        "100000 points; use a larger step\n"
+    )
+
+
 def test_hoeffding_json_matches_contract(capsys):
     code, out, _ = run(
         capsys,

@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -190,6 +191,29 @@ def test_trajectory_law_matches_flattened_step_products():
                 * k.weight(s2, s3).as_fraction()
             )
         assert weight.as_fraction() == acc
+
+
+def test_traj_kernel_horizon_8_exact_within_budget():
+    # 3 * 3^8 entries; with a dense rebracketing kernel per step this took 15-19 s
+    w = Base(FiniteSpace("W", ["a", "b", "c"]))
+    p = {
+        "a": (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)),
+        "b": (Fraction(1, 4), Fraction(0), Fraction(3, 4)),
+        "c": (Fraction(2, 5), Fraction(2, 5), Fraction(1, 5)),
+    }
+    chain = markov_chain(uniform(w), Kernel(w, w, [Measure(w, p[s]) for s in w.atoms]), 8)
+    started = time.perf_counter()
+    kernel = traj_kernel(chain, 8)
+    elapsed = time.perf_counter() - started
+    col = {s: j for j, s in enumerate(w.atoms)}
+    for s0 in w.atoms:
+        for atom, weight in kernel.row(s0).items():
+            path = (s0,) + flatten_trajectory(8, atom)
+            expected = Fraction(1)
+            for s, t in zip(path, path[1:]):
+                expected *= p[s][col[t]]
+            assert weight.as_fraction() == expected
+    assert elapsed < 5.0, f"traj_kernel at horizon 8 took {elapsed:.2f}s, budget 5s"
 
 
 def test_markov_property_as_conditional_independence():
