@@ -71,7 +71,17 @@ def deterministic(f: RandomVariable) -> Kernel:
 
 
 def identity_kernel(space: SpaceExpr) -> Kernel:
-    return deterministic(RandomVariable.identity(space))
+    return _same_index(space, space)
+
+
+def _same_index(dom: SpaceExpr, cod: SpaceExpr) -> Kernel:
+    """The map sending atom index i of dom to atom index i of cod.
+
+    A product's atom index is the mixed-radix number of its leaf indices over
+    the leaf sizes, whatever the bracketing, so this is the identity and every
+    rebracketing between spaces with one leaf sequence.
+    """
+    return Kernel._from_map(dom, cod, tuple(range(dom.size)))
 
 
 def copy_kernel(space: SpaceExpr) -> Kernel:
@@ -92,27 +102,19 @@ def const_kernel(domain: SpaceExpr, measure: Measure) -> Kernel:
 
 def swap_kernel(left: SpaceExpr, right: SpaceExpr) -> Kernel:
     """(left x right) -> (right x left), deterministic coordinate swap."""
-    dom = Product(left, right)
-    cod = Product(right, left)
-    return deterministic(
-        RandomVariable(dom, cod, {(a, b): (b, a) for (a, b) in dom.atoms})
-    )
+    nl, nr = left.size, right.size
+    index_map = tuple(j * nl + i for i in range(nl) for j in range(nr))
+    return Kernel._from_map(Product(left, right), Product(right, left), index_map)
 
 
 def assoc_kernel(a: SpaceExpr, b: SpaceExpr, c: SpaceExpr) -> Kernel:
     """a x (b x c) -> (a x b) x c, deterministic rebracketing."""
-    dom = Product(a, Product(b, c))
-    cod = Product(Product(a, b), c)
-    table = {(x, (y, z)): ((x, y), z) for (x, (y, z)) in dom.atoms}
-    return deterministic(RandomVariable(dom, cod, table))
+    return _same_index(Product(a, Product(b, c)), Product(Product(a, b), c))
 
 
 def assoc_inv_kernel(a: SpaceExpr, b: SpaceExpr, c: SpaceExpr) -> Kernel:
     """(a x b) x c -> a x (b x c), inverse rebracketing."""
-    dom = Product(Product(a, b), c)
-    cod = Product(a, Product(b, c))
-    table = {((x, y), z): (x, (y, z)) for ((x, y), z) in dom.atoms}
-    return deterministic(RandomVariable(dom, cod, table))
+    return _same_index(Product(Product(a, b), c), Product(a, Product(b, c)))
 
 
 def fst_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
@@ -127,16 +129,14 @@ def snd_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
 
 def prod_mk_right(kernel: Kernel, extra: SpaceExpr) -> Kernel:
     """Lift dom -> cod to (dom x extra) -> cod, ignoring the second coordinate."""
-    dom = Product(kernel.domain, extra)
-    rows = tuple(kernel.rows[kernel.domain.index_of(a)] for (a, _) in dom.atoms)
-    return Kernel._unchecked(dom, kernel.codomain, rows)
+    rows = tuple(row for row in kernel.rows for _ in range(extra.size))
+    return Kernel._unchecked(Product(kernel.domain, extra), kernel.codomain, rows)
 
 
 def prod_mk_left(extra: SpaceExpr, kernel: Kernel) -> Kernel:
     """Lift dom -> cod to (extra x dom) -> cod, ignoring the first coordinate."""
-    dom = Product(extra, kernel.domain)
-    rows = tuple(kernel.rows[kernel.domain.index_of(b)] for (_, b) in dom.atoms)
-    return Kernel._unchecked(dom, kernel.codomain, rows)
+    rows = kernel.rows * extra.size
+    return Kernel._unchecked(Product(extra, kernel.domain), kernel.codomain, rows)
 
 
 def rebracket_kernel(src: SpaceExpr, dst: SpaceExpr) -> Kernel:
@@ -145,17 +145,12 @@ def rebracket_kernel(src: SpaceExpr, dst: SpaceExpr) -> Kernel:
     src and dst must have identical ordered leaf sequences; the kernel maps
     each atom to the same flat coordinate tuple re-nested for dst.
     """
-    from .spaces import build_atom, flatten_atom
-
     if src.leaves() != dst.leaves():
         raise SpaceMismatch(
             f"spaces {src} and {dst} have different leaf sequences; "
             "rebracketing is only defined between bracketings of the same product"
         )
-    table = {
-        atom: build_atom(dst, flatten_atom(src, atom)) for atom in src.atoms
-    }
-    return deterministic(RandomVariable(src, dst, table))
+    return _same_index(src, dst)
 
 
 # -- compositions ---------------------------------------------------------------
@@ -318,14 +313,17 @@ def marginal_fst(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    return compose(deterministic(fst_proj(cod.left, cod.right)), kappa)
+    nr = cod.right.size
+    index_map = tuple(i for i in range(cod.left.size) for _ in range(nr))
+    return compose(Kernel._from_map(cod, cod.left, index_map), kappa)
 
 
 def marginal_snd(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    return compose(deterministic(snd_proj(cod.left, cod.right)), kappa)
+    index_map = tuple(range(cod.right.size)) * cod.left.size
+    return compose(Kernel._from_map(cod, cod.right, index_map), kappa)
 
 
 def marginals(kappa: Kernel):

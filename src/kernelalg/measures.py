@@ -224,7 +224,9 @@ class Kernel:
     def is_markov(self) -> bool:
         if self.index_map is not None:
             return True
-        return all(row.total() == ONE for row in self.rows)
+        # a lifted kernel (prod_mk_left) repeats a few row objects many times
+        distinct = {id(row): row for row in self.rows}.values()
+        return all(row.total() == ONE for row in distinct)
 
     def require_markov(self) -> "Kernel":
         if not self.is_markov():

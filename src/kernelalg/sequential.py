@@ -13,11 +13,16 @@ exact algorithm is pinned below and in the README), and atoms are drawn by
 inverse CDF against thresholds computed in exact arithmetic and scaled to
 2**64, compared directly with the raw 64-bit draw.  No float is involved, so
 two runs with one seed agree bit for bit on every platform.
+
+Every history space of a chain is checked before anything is built: one with
+more than MAX_HISTORY_ATOMS atoms is refused.  The horizon-n trajectory
+kernel has exactly |history_n| entries, so this also bounds traj_kernel.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import repeat
 
 from .algebra import (
     comp_measure,
@@ -35,6 +40,7 @@ from .variables import RandomVariable
 __all__ = [
     "SplitMix64",
     "PRNG_ALGORITHM",
+    "MAX_HISTORY_ATOMS",
     "KernelChain",
     "markov_chain",
     "traj_kernel",
@@ -45,6 +51,9 @@ __all__ = [
 ]
 
 PRNG_ALGORITHM = "splitmix64"
+
+# Largest history space a chain may have: start x out_1 x ... x out_i.
+MAX_HISTORY_ATOMS = 1 << 20
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -99,6 +108,18 @@ class _RowSampler:
         return bisect_right(self.thresholds, u)
 
 
+def _check_history_sizes(start: SpaceExpr, outs):
+    """Refuse a chain with a history space above MAX_HISTORY_ATOMS atoms."""
+    size = start.size
+    for i, out in enumerate(outs, 1):
+        size *= out.size
+        if size > MAX_HISTORY_ATOMS:
+            raise KernelAlgError(
+                f"history space after step {i} has {size} atoms, above the "
+                f"limit of {MAX_HISTORY_ATOMS}"
+            )
+
+
 class KernelChain:
     """A start space plus Markov steps over left-nested history spaces."""
 
@@ -106,6 +127,7 @@ class KernelChain:
 
     def __init__(self, start: SpaceExpr, steps, initial: Measure | None = None):
         steps = tuple(steps)
+        _check_history_sizes(start, (step.codomain for step in steps))
         history = start
         for i, step in enumerate(steps):
             if step.domain != history:
@@ -154,6 +176,7 @@ def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
             f"initial distribution on {initial.space} does not match state space "
             f"{step.domain}"
         )
+    _check_history_sizes(step.domain, repeat(step.codomain, n))
     steps = [step]
     history = step.domain
     for _ in range(1, n):
@@ -246,21 +269,25 @@ def sample(
 
     rng = SplitMix64(seed)
     init_sampler = _RowSampler(init)
-    row_samplers: list[dict] = [{} for _ in range(n)]
+    # One sampler per distinct row object; the chain's steps keep every row
+    # alive, so id() is stable.  A homogeneous chain has |S| distinct rows.
+    samplers: dict[int, _RowSampler] = {}
+    plan = [
+        (step.rows, step.codomain.size, step.codomain.atoms)
+        for step in chain.steps[:n]
+    ]
     out = []
     for _ in range(count):
-        x = init.space.atoms[init_sampler.draw(rng.next_u64())]
-        history = x
+        # h is the row-major index of the history drawn so far
+        h = init_sampler.draw(rng.next_u64())
         traj = []
-        for i in range(n):
-            step = chain.steps[i]
-            ri = step.domain.index_of(history)
-            sampler = row_samplers[i].get(ri)
+        for rows, size, atoms in plan:
+            row = rows[h]
+            sampler = samplers.get(id(row))
             if sampler is None:
-                sampler = _RowSampler(step.rows[ri])
-                row_samplers[i][ri] = sampler
-            atom = step.codomain.atoms[sampler.draw(rng.next_u64())]
-            traj.append(atom)
-            history = (history, atom)
+                sampler = samplers[id(row)] = _RowSampler(row)
+            j = sampler.draw(rng.next_u64())
+            traj.append(atoms[j])
+            h = h * size + j
         out.append(tuple(traj))
     return out

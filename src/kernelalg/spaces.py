@@ -8,7 +8,9 @@ kernel.  Equality is structural and atom order is part of a space's identity.
 
 Atoms are plain Python values: strings for base-space atoms, the string "()"
 for the unit atom, and nested pairs (left_atom, right_atom) for product atoms.
-Product atoms are enumerated in row-major order, left index varying slowest.
+Product atoms are enumerated in row-major order, left index varying slowest,
+so the index of a nested atom is the mixed-radix number of its leaf indices
+over the leaf sizes, whatever the bracketing.
 """
 
 from __future__ import annotations
@@ -54,28 +56,27 @@ class FiniteSpace:
 
 
 class SpaceExpr:
-    """Base class for space expressions.  Instances are immutable."""
+    """Base class for space expressions.  Instances are immutable.
 
-    __slots__ = ("atoms", "_index")
+    Every space has `size`, `atoms` (in order), `index_of` and membership.
+    """
 
-    def _finish(self, atoms):
-        self.atoms = atoms
-        self._index = {atom: i for i, atom in enumerate(atoms)}
-
-    @property
-    def size(self) -> int:
-        return len(self.atoms)
+    __slots__ = ()
 
     def index_of(self, atom) -> int:
-        try:
-            return self._index[atom]
-        except KeyError:
+        i = self._find(atom)
+        if i is None:
             raise SpaceMismatch(
                 f"atom {format_atom(atom)} does not belong to space {self}"
-            ) from None
+            )
+        return i
 
     def __contains__(self, atom) -> bool:
-        return atom in self._index
+        return self._find(atom) is not None
+
+    def _find(self, atom):
+        """Index of `atom`, or None when it is not an atom of this space."""
+        raise NotImplementedError
 
     def __hash__(self):
         return hash(self._key())
@@ -93,7 +94,24 @@ class SpaceExpr:
         raise NotImplementedError
 
 
-class Base(SpaceExpr):
+class _Leaf(SpaceExpr):
+    """A space given by its atom tuple, with an atom -> index dict."""
+
+    __slots__ = ("atoms", "size", "_index")
+
+    def _finish(self, atoms):
+        self.atoms = atoms
+        self.size = len(atoms)
+        self._index = {atom: i for i, atom in enumerate(atoms)}
+
+    def _find(self, atom):
+        return self._index.get(atom)
+
+    def leaves(self):
+        return (self,)
+
+
+class Base(_Leaf):
     __slots__ = ("space",)
 
     def __init__(self, space: FiniteSpace):
@@ -103,9 +121,6 @@ class Base(SpaceExpr):
     def _key(self):
         return ("base", self.space.name, self.space.labels)
 
-    def leaves(self):
-        return (self,)
-
     def __str__(self):
         return self.space.name
 
@@ -113,7 +128,7 @@ class Base(SpaceExpr):
         return f"Base({self.space!r})"
 
 
-class Unit(SpaceExpr):
+class Unit(_Leaf):
     __slots__ = ()
 
     def __init__(self):
@@ -121,9 +136,6 @@ class Unit(SpaceExpr):
 
     def _key(self):
         return ("unit",)
-
-    def leaves(self):
-        return (self,)
 
     def __str__(self):
         return "unit"
@@ -136,12 +148,39 @@ UNIT = Unit()
 
 
 class Product(SpaceExpr):
-    __slots__ = ("left", "right")
+    """left x right, indexed row-major: (a, b) has index i(a) * |right| + i(b).
+
+    The atom tuple is built on its first read and cached; size, index_of and
+    membership are arithmetic on the factors and never build it.
+    """
+
+    __slots__ = ("left", "right", "size", "_atoms")
 
     def __init__(self, left: SpaceExpr, right: SpaceExpr):
         self.left = left
         self.right = right
-        self._finish(tuple((a, b) for a in left.atoms for b in right.atoms))
+        self.size = left.size * right.size
+        self._atoms = None
+
+    @property
+    def atoms(self):
+        atoms = self._atoms
+        if atoms is None:
+            right = self.right.atoms
+            atoms = tuple((a, b) for a in self.left.atoms for b in right)
+            self._atoms = atoms
+        return atoms
+
+    def _find(self, atom):
+        if not isinstance(atom, tuple) or len(atom) != 2:
+            return None
+        i = self.left._find(atom[0])
+        if i is None:
+            return None
+        j = self.right._find(atom[1])
+        if j is None:
+            return None
+        return i * self.right.size + j
 
     def _key(self):
         return ("product", self.left._key(), self.right._key())
@@ -165,21 +204,3 @@ def format_atom(atom) -> str:
     if isinstance(atom, tuple):
         return f"({format_atom(atom[0])},{format_atom(atom[1])})"
     return atom
-
-
-def flatten_atom(space: SpaceExpr, atom):
-    """Yield the leaf atoms of a (possibly nested) product atom, in order."""
-    if isinstance(space, Product):
-        yield from flatten_atom(space.left, atom[0])
-        yield from flatten_atom(space.right, atom[1])
-    else:
-        yield atom
-
-
-def build_atom(space: SpaceExpr, leaf_iter):
-    """Rebuild a nested atom of `space` from an iterator of leaf atoms."""
-    if isinstance(space, Product):
-        left = build_atom(space.left, leaf_iter)
-        right = build_atom(space.right, leaf_iter)
-        return (left, right)
-    return next(leaf_iter)

@@ -11,9 +11,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from kernelalg.algebra import deterministic
+from kernelalg.errors import KernelAlgError, SpaceMismatch
 from kernelalg.measures import Kernel, Measure
 from kernelalg.scalar import Scalar
-from kernelalg.spaces import Base, FiniteSpace
+from kernelalg.sequential import SplitMix64, _RowSampler
+from kernelalg.spaces import UNIT, Base, FiniteSpace, Product, format_atom
 from kernelalg.variables import RandomVariable
 
 _NAMES = iter(range(10**9))
@@ -130,4 +133,136 @@ def compose_oracle(eta, kappa) -> list:
                     acc += wy.as_fraction() * wz.as_fraction()
             row.append(acc)
         out.append(row)
+    return out
+
+
+# -- eager references for lazy products and their index arithmetic ---------------
+
+
+def random_bracketing(rng: random.Random, leaves):
+    """A random binary product tree over the given leaves, in order."""
+    if len(leaves) == 1:
+        return leaves[0]
+    cut = rng.randint(1, len(leaves) - 1)
+    return Product(
+        random_bracketing(rng, leaves[:cut]), random_bracketing(rng, leaves[cut:])
+    )
+
+
+def random_leaves(rng: random.Random, count, max_atoms=3):
+    """Base spaces of 1..max_atoms atoms, one in ten unit and one in ten empty."""
+    leaves = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.1:
+            leaves.append(UNIT)
+        elif r < 0.2:
+            leaves.append(fresh_space(rng, max_atoms=0, min_atoms=0))
+        else:
+            leaves.append(fresh_space(rng, max_atoms))
+    return leaves
+
+
+def eager_atoms(space) -> tuple:
+    """Every atom of a space, built the way Product once built them up front."""
+    if isinstance(space, Product):
+        right = eager_atoms(space.right)
+        return tuple((a, b) for a in eager_atoms(space.left) for b in right)
+    return space.atoms
+
+
+def eager_index_of(space, atom) -> int:
+    """index_of through an atom -> index dict over eager_atoms."""
+    index = {a: i for i, a in enumerate(eager_atoms(space))}
+    try:
+        return index[atom]
+    except KeyError:
+        raise SpaceMismatch(
+            f"atom {format_atom(atom)} does not belong to space {space}"
+        ) from None
+
+
+def flatten_atom(space, atom):
+    """Yield the leaf atoms of a (possibly nested) product atom, in order."""
+    if isinstance(space, Product):
+        yield from flatten_atom(space.left, atom[0])
+        yield from flatten_atom(space.right, atom[1])
+    else:
+        yield atom
+
+
+def build_atom(space, leaf_iter):
+    """Rebuild a nested atom of `space` from an iterator of leaf atoms."""
+    if isinstance(space, Product):
+        left = build_atom(space.left, leaf_iter)
+        right = build_atom(space.right, leaf_iter)
+        return (left, right)
+    return next(leaf_iter)
+
+
+def _table_map(dom, cod, image) -> Kernel:
+    """deterministic() of the RandomVariable whose table is image(atom)."""
+    atoms = eager_atoms(dom)
+    return deterministic(RandomVariable(dom, cod, {a: image(a) for a in atoms}))
+
+
+def table_swap(left, right) -> Kernel:
+    return _table_map(Product(left, right), Product(right, left), lambda t: (t[1], t[0]))
+
+
+def table_assoc(a, b, c) -> Kernel:
+    return _table_map(
+        Product(a, Product(b, c)),
+        Product(Product(a, b), c),
+        lambda t: ((t[0], t[1][0]), t[1][1]),
+    )
+
+
+def table_assoc_inv(a, b, c) -> Kernel:
+    return _table_map(
+        Product(Product(a, b), c),
+        Product(a, Product(b, c)),
+        lambda t: (t[0][0], (t[0][1], t[1])),
+    )
+
+
+def table_fst(left, right) -> Kernel:
+    return _table_map(Product(left, right), left, lambda t: t[0])
+
+
+def table_snd(left, right) -> Kernel:
+    return _table_map(Product(left, right), right, lambda t: t[1])
+
+
+def table_rebracket(src, dst) -> Kernel:
+    return _table_map(src, dst, lambda t: build_atom(dst, flatten_atom(src, t)))
+
+
+def sample_oracle(chain, n, seed, count, initial=None):
+    """Trajectory sampling keyed by nested history atoms, one sampler per row index."""
+    init = initial if initial is not None else chain.initial
+    if init is None:
+        raise KernelAlgError("chain has no initial distribution to sample from")
+    rng = SplitMix64(seed)
+    init_sampler = _RowSampler(init)
+    index = [
+        {a: i for i, a in enumerate(eager_atoms(step.domain))}
+        for step in chain.steps[:n]
+    ]
+    outs = [eager_atoms(step.codomain) for step in chain.steps[:n]]
+    row_samplers = [{} for _ in range(n)]
+    out = []
+    for _ in range(count):
+        history = init.space.atoms[init_sampler.draw(rng.next_u64())]
+        traj = []
+        for i in range(n):
+            step = chain.steps[i]
+            ri = index[i][history]
+            sampler = row_samplers[i].get(ri)
+            if sampler is None:
+                sampler = row_samplers[i][ri] = _RowSampler(step.rows[ri])
+            atom = outs[i][sampler.draw(rng.next_u64())]
+            traj.append(atom)
+            history = (history, atom)
+        out.append(tuple(traj))
     return out

@@ -375,3 +375,43 @@ def test_deterministic_equals_and_hashes_like_its_dense_twin():
     ww = Product(w, w)
     assert alg.copy_kernel(w) == Kernel(w, ww, [dirac(ww, (a, a)) for a in w.atoms])
     assert Kernel(w, UNIT, [dirac(UNIT, "()")] * w.size) == alg.discard_kernel(w)
+
+
+# -- structural maps by index arithmetic against their atom tables ------------
+
+
+def random_tree(rng, max_leaves):
+    return genlib.random_bracketing(rng, genlib.random_leaves(rng, rng.randint(1, max_leaves)))
+
+
+def test_structural_maps_match_atom_tables():
+    rng = random.Random(43)
+    for _ in range(80):
+        leaves = genlib.random_leaves(rng, rng.randint(2, 5))
+        src, dst = genlib.random_bracketing(rng, leaves), genlib.random_bracketing(rng, leaves)
+        pairs = [(alg.rebracket_kernel(src, dst), genlib.table_rebracket(src, dst))]
+
+        x, y, z = (random_tree(rng, 2) for _ in range(3))
+        xy = Product(x, y)
+        pairs += [
+            (alg.identity_kernel(xy), alg.deterministic(RandomVariable.identity(xy))),
+            (alg.swap_kernel(x, y), genlib.table_swap(x, y)),
+            (alg.assoc_kernel(x, y, z), genlib.table_assoc(x, y, z)),
+            (alg.assoc_inv_kernel(x, y, z), genlib.table_assoc_inv(x, y, z)),
+            (alg.marginal_fst(alg.identity_kernel(xy)), genlib.table_fst(x, y)),
+            (alg.marginal_snd(alg.identity_kernel(xy)), genlib.table_snd(x, y)),
+        ]
+        for got, table in pairs:
+            assert got.index_map == table.index_map
+            assert got == table
+
+        w = fresh_space(rng, 3)
+        k = genlib.random_finite_kernel(rng, w, xy, zero_frac=0.3)
+        assert alg.marginal_fst(k) == alg.compose(genlib.table_fst(x, y), k)
+        assert alg.marginal_snd(k) == alg.compose(genlib.table_snd(x, y), k)
+
+        lift = genlib.random_finite_kernel(rng, x, w)
+        atoms = genlib.eager_atoms(Product(x, y))
+        assert alg.prod_mk_right(lift, y).rows == tuple(lift.row(a) for a, _ in atoms)
+        atoms = genlib.eager_atoms(Product(y, x))
+        assert alg.prod_mk_left(y, lift).rows == tuple(lift.row(b) for _, b in atoms)

@@ -228,3 +228,26 @@ def test_hoeffding_not_certified_exit_1(capsys):
     )
     assert code == 1
     assert "not certified" in err
+
+
+def test_long_chain_history_refused_exit_2(capsys, tmp_path):
+    doc = tmp_path / "long.kd"
+    doc.write_text(
+        "space S { a b c }\n"
+        "measure mu on S = { a: 1, b: 0, c: 0 }\n"
+        "kernel k : S -> S = {\n"
+        "  a: { a: 0, b: 1, c: 0 }\n"
+        "  b: { a: 0, b: 0, c: 1 }\n"
+        "  c: { a: 1, b: 0, c: 0 }\n"
+        "}\n"
+        "chain c = markov(mu, k, 40)\n"
+    )
+    code, out, err = run(
+        capsys, "simulate", str(doc), "--chain", "c", "-n", "2", "--seed", "1", "--count", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: 8:11: history space after step 12 has 1594323 atoms, "
+        "above the limit of 1048576\n"
+    )

@@ -5,12 +5,19 @@ from fractions import Fraction
 
 import pytest
 
-from genlib import fresh_space, random_markov_kernel, weather_kernel
+from genlib import (
+    fresh_space,
+    random_markov_kernel,
+    random_probability,
+    sample_oracle,
+    weather_kernel,
+)
 from kernelalg import algebra as alg
 from kernelalg.errors import HorizonOutOfRange, KernelAlgError, NotMarkov, SpaceMismatch
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, Scalar
 from kernelalg.sequential import (
+    MAX_HISTORY_ATOMS,
     KernelChain,
     SplitMix64,
     flatten_trajectory,
@@ -279,3 +286,46 @@ def test_empirical_distribution_approaches_law():
         flat = flatten_trajectory(2, atom)
         tv += abs(weight.as_fraction() - Fraction(counts.get(flat, 0), count))
     assert tv / 2 < Fraction(3, 100)
+
+
+def test_sample_matches_dict_keyed_oracle():
+    rng = random.Random(60)
+    for _ in range(20):
+        s = fresh_space(rng, 4)
+        step = random_markov_kernel(rng, s, s, zero_frac=0.3)
+        homogeneous = markov_chain(random_probability(rng, s), step, rng.randint(1, 5))
+        inhomogeneous = random_chain(rng)
+        for chain in (homogeneous, inhomogeneous):
+            other = random_probability(rng, chain.start, zero_frac=0.3)
+            seed = rng.getrandbits(64)
+            inits = [other] if chain.initial is None else [None, other]
+            for n in range(1, len(chain) + 1):
+                for init in inits:
+                    got = sample(chain, n, seed, 40, init)
+                    assert got == sample_oracle(chain, n, seed, 40, init)
+                assert sample(chain, n, seed, 0, other) == [] == sample_oracle(chain, n, seed, 0, other)
+
+
+def test_long_markov_chain_declares_fast_and_samples_like_oracle():
+    k = weather_kernel()
+    start = time.perf_counter()
+    chain = markov_chain(uniform(k.domain), k, 16)
+    assert time.perf_counter() - start < 0.5
+    assert sample(chain, 16, 99, 1000) == sample_oracle(chain, 16, 99, 1000)
+
+
+def test_history_size_checked_before_building():
+    w = Base(FiniteSpace("T", ["a", "b", "c"]))
+    start = time.perf_counter()
+    with pytest.raises(KernelAlgError) as exc:
+        markov_chain(uniform(w), alg.const_kernel(w, uniform(w)), 40)
+    assert time.perf_counter() - start < 1.0
+    assert str(exc.value) == (
+        "history space after step 12 has 1594323 atoms, above the limit of 1048576"
+    )
+    big = Base(FiniteSpace("B", [str(i) for i in range(1024)]))
+    fits = Base(FiniteSpace("F", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024)]))
+    assert len(KernelChain(big, [alg.const_kernel(big, uniform(fits))])) == 1
+    over = Base(FiniteSpace("O", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024 + 1)]))
+    with pytest.raises(KernelAlgError, match="after step 1 has 1049600 atoms"):
+        KernelChain(big, [alg.const_kernel(big, uniform(over))])

@@ -1,5 +1,15 @@
+import random
+
 import pytest
 
+from genlib import (
+    build_atom,
+    eager_atoms,
+    eager_index_of,
+    flatten_atom,
+    random_bracketing,
+    random_leaves,
+)
 from kernelalg.errors import SpaceMismatch
 from kernelalg.spaces import (
     UNIT,
@@ -7,8 +17,6 @@ from kernelalg.spaces import (
     Base,
     FiniteSpace,
     Product,
-    build_atom,
-    flatten_atom,
     format_atom,
     product_space,
 )
@@ -82,3 +90,55 @@ def test_flatten_build_round_trip():
 def test_format_atom():
     assert format_atom((("a", "b"), "c")) == "((a,b),c)"
     assert format_atom(UNIT_ATOM) == "()"
+
+
+def foreign_atoms(rng, space, atoms):
+    """Atoms that must not belong to `space`, and some that may."""
+    out = ["zz", 5, ("a", "b", "c"), UNIT_ATOM]
+    for atom in rng.sample(atoms, min(3, len(atoms))):
+        out.append(atom)
+        if isinstance(atom, tuple):
+            out.append(atom + ("x",))            # a 3-tuple
+            out.append((atom[1], atom[0]))       # legs swapped
+            out.append(atom[0])                  # not a pair
+        else:
+            out.append((atom, atom))             # a pair for a leaf space
+        leaves = list(flatten_atom(space, atom))
+        for i in range(len(leaves)):
+            wrong = leaves[:i] + ["zz"] + leaves[i + 1:]
+            out.append(build_atom(space, iter(wrong)))
+    return out
+
+
+def message_of(call, *args):
+    try:
+        call(*args)
+    except SpaceMismatch as exc:
+        return str(exc)
+    return None
+
+
+def test_lazy_product_matches_eager_reference():
+    rng = random.Random(50)
+    for _ in range(300):
+        leaves = random_leaves(rng, rng.randint(1, 5))
+        seed = rng.getrandbits(32)
+        space = random_bracketing(random.Random(seed), leaves)
+        twin = random_bracketing(random.Random(seed), leaves)
+        atoms = list(eager_atoms(space))
+
+        # size, index_of and membership never build the atom tuple
+        assert space.size == len(atoms)
+        assert [space.index_of(a) for a in atoms] == list(range(len(atoms)))
+        assert all(a in space for a in atoms)
+        for cand in foreign_atoms(rng, space, atoms):
+            assert (cand in space) == (cand in atoms)
+            assert message_of(space.index_of, cand) == message_of(eager_index_of, space, cand)
+        if isinstance(space, Product):
+            assert space._atoms is None
+
+        assert space == twin and hash(space) == hash(twin)
+        assert space.atoms == tuple(atoms)
+        assert space == twin and twin == space and hash(space) == hash(twin)
+        other = random_bracketing(rng, leaves)
+        assert (other == space) == (str(other) == str(space))
