@@ -17,6 +17,8 @@ bracketings explicitly.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .errors import NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, zero_measure
 from .scalar import ZERO
@@ -209,7 +211,7 @@ def _scatter(f: Kernel, mu: Measure) -> Measure:
 
 def measure_product(a: Measure, b: Measure) -> Measure:
     """Product measure on Product(a.space, b.space)."""
-    return _product_row(Product(a.space, b.space), a, b)
+    return _pair_row(Product(a.space, b.space), a, repeat(b))
 
 
 def parallel(kappa: Kernel, eta: Kernel) -> Kernel:
@@ -219,21 +221,21 @@ def parallel(kappa: Kernel, eta: Kernel) -> Kernel:
     """
     dom = Product(kappa.domain, eta.domain)
     cod = Product(kappa.codomain, eta.codomain)
-    rows = []
-    for ra in kappa.rows:
-        for rb in eta.rows:
-            rows.append(_product_row(cod, ra, rb))
-    return Kernel._unchecked(dom, cod, tuple(rows))
+    rows = tuple(
+        _pair_row(cod, ra, repeat(rb)) for ra in kappa.rows for rb in eta.rows
+    )
+    return Kernel._unchecked(dom, cod, rows)
 
 
-def _product_row(cod, a: Measure, b: Measure) -> Measure:
+def _pair_row(cod: Product, a: Measure, rows) -> Measure:
+    """The measure on cod with weight a({i}) * rows[i]({j}) at (i, j)."""
+    n = cod.right.size
     weights = []
-    nb = len(b.weights)
-    for wa in a.weights:
+    for wa, row in zip(a.weights, rows):
         if wa.is_zero():
-            weights.extend([ZERO] * nb)
+            weights.extend([ZERO] * n)
         else:
-            weights.extend(wa * wb if not wb.is_zero() else ZERO for wb in b.weights)
+            weights.extend(wa * wb if not wb.is_zero() else ZERO for wb in row.weights)
     return Measure._unchecked(cod, tuple(weights))
 
 
@@ -249,7 +251,7 @@ def prod(kappa: Kernel, eta: Kernel) -> Kernel:
         )
     cod = Product(kappa.codomain, eta.codomain)
     rows = tuple(
-        _product_row(cod, ra, rb) for ra, rb in zip(kappa.rows, eta.rows)
+        _pair_row(cod, ra, repeat(rb)) for ra, rb in zip(kappa.rows, eta.rows)
     )
     return Kernel._unchecked(kappa.domain, cod, rows)
 
@@ -267,21 +269,13 @@ def comp_prod(kappa: Kernel, eta: Kernel) -> Kernel:
             f"comp_prod: second kernel must have domain {expected}, got {eta.domain}"
         )
     y_size = kappa.codomain.size
-    z_size = eta.codomain.size
     cod = Product(kappa.codomain, eta.codomain)
-    out_rows = []
-    for xi, row in enumerate(kappa.rows):
-        weights = []
-        for yi, wy in enumerate(row.weights):
-            if wy.is_zero():
-                weights.extend([ZERO] * z_size)
-            else:
-                second = eta.rows[xi * y_size + yi].weights
-                weights.extend(
-                    wy * wz if not wz.is_zero() else ZERO for wz in second
-                )
-        out_rows.append(Measure._unchecked(cod, tuple(weights)))
-    return Kernel._unchecked(kappa.domain, cod, tuple(out_rows))
+    eta_rows = eta.rows
+    rows = tuple(
+        _pair_row(cod, row, eta_rows[xi * y_size : (xi + 1) * y_size])
+        for xi, row in enumerate(kappa.rows)
+    )
+    return Kernel._unchecked(kappa.domain, cod, rows)
 
 
 def comp_prod_via_primitives(kappa: Kernel, eta: Kernel) -> Kernel:
@@ -331,6 +325,9 @@ def marginals(kappa: Kernel):
 
 
 # -- measure-level operations ------------------------------------------------------
+#
+# A measure is a kernel from the one-point space UNIT (measure_as_kernel), so
+# each operation here is the kernel operation on that view.
 
 
 def comp_measure(kappa: Kernel, mu: Measure) -> Measure:
@@ -339,16 +336,7 @@ def comp_measure(kappa: Kernel, mu: Measure) -> Measure:
         raise SpaceMismatch(
             f"measure on {mu.space} cannot feed kernel from {kappa.domain}"
         )
-    if kappa.index_map is not None:
-        return _scatter(kappa, mu)
-    acc = [ZERO] * kappa.codomain.size
-    for xi, wx in enumerate(mu.weights):
-        if wx.is_zero():
-            continue
-        for yi, wy in enumerate(kappa.rows[xi].weights):
-            if not wy.is_zero():
-                acc[yi] = acc[yi] + wx * wy
-    return Measure._unchecked(kappa.codomain, tuple(acc))
+    return compose(kappa, measure_as_kernel(mu)).rows[0]
 
 
 def comp_prod_measure(mu: Measure, kappa: Kernel) -> Measure:
@@ -357,15 +345,7 @@ def comp_prod_measure(mu: Measure, kappa: Kernel) -> Measure:
         raise SpaceMismatch(
             f"measure on {mu.space} cannot feed kernel from {kappa.domain}"
         )
-    cod = Product(mu.space, kappa.codomain)
-    n = kappa.codomain.size
-    weights = []
-    for wx, row in zip(mu.weights, kappa.rows):
-        if wx.is_zero():
-            weights.extend([ZERO] * n)
-        else:
-            weights.extend(wx * w if not w.is_zero() else ZERO for w in row.weights)
-    return Measure._unchecked(cod, tuple(weights))
+    return comp_prod(measure_as_kernel(mu), prod_mk_left(UNIT, kappa)).rows[0]
 
 
 def pushforward(mu: Measure, f: RandomVariable) -> Measure:

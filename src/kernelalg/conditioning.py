@@ -9,8 +9,6 @@ keeps a brute-force oracle over all rectangle pairs to guard that reduction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import const_kernel, prod_mk_right, pushforward
 from .disintegration import cond_kernel_measure
 from .errors import SpaceMismatch
@@ -80,13 +78,7 @@ def cond_exp(f: RealRV, mu: Measure, sigma: PartitionSigma) -> RealRV:
             f"observable on {f.domain} does not match measure space {mu.space}"
         )
     kernel = cond_exp_kernel(mu, sigma)
-    values = []
-    for row in kernel.rows:
-        acc = Fraction(0)
-        for w, v in zip(row.weights, f.values):
-            if not w.is_zero():
-                acc += w.as_fraction() * v
-        values.append(acc)
+    values = [f.mean(row) for row in kernel.rows]
     return RealRV(mu.space, values)
 
 

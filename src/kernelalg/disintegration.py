@@ -10,7 +10,7 @@ same kernel, which the law suite checks as modification invariance.
 
 from __future__ import annotations
 
-from .algebra import comp_prod, marginal_fst
+from .algebra import comp_prod, marginal_fst, measure_as_kernel
 from .errors import EmptyCodomainZ, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, uniform
 from .scalar import ZERO, Scalar, as_scalar
@@ -121,8 +121,6 @@ def cond_kernel_measure(rho: Measure) -> Kernel:
         raise NotAProductCodomain(
             f"disintegration needs a product space, got {rho.space}"
         )
-    from .algebra import measure_as_kernel
-
     inner = cond_kernel(measure_as_kernel(rho))
     # inner runs over atoms ((), y) in y order; reuse its rows directly.
     return Kernel._unchecked(rho.space.left, rho.space.right, inner.rows)
@@ -221,7 +219,4 @@ def measure_rn_deriv(mu: Measure, nu: Measure):
     """Atomwise derivative of one measure against another (0 on nu-null atoms)."""
     if mu.space != nu.space:
         raise SpaceMismatch(f"measures on {mu.space} and {nu.space} do not compare")
-    return [
-        ZERO if wn.is_zero() else wm / wn
-        for wm, wn in zip(mu.weights, nu.weights)
-    ]
+    return list(rn_deriv(measure_as_kernel(mu), measure_as_kernel(nu)).values)

@@ -286,19 +286,30 @@ def _parse_checked_atom(tz: Tokenizer, space: SpaceExpr):
     return atom
 
 
+def _int_value(tok: Token) -> int:
+    """The value of an int token; one past Python's int() digit limit is refused."""
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise KdSyntaxError(
+            f"integer literal of {len(tok.text)} digits is too long", tok.line, tok.col
+        ) from None
+
+
 def _parse_rational(tz: Tokenizer, signed=False) -> Fraction:
     negative = False
     if signed and tz.at("-"):
         tz.next()
         negative = True
-    num = tz.expect("int")
-    value = Fraction(int(num.text))
+    num = _int_value(tz.expect("int"))
+    den = 1
     if tz.at("/"):
         tz.next()
-        den = tz.expect("int")
-        if int(den.text) == 0:
-            raise KdSyntaxError("zero denominator", den.line, den.col)
-        value = Fraction(int(num.text), int(den.text))
+        tok = tz.expect("int")
+        den = _int_value(tok)
+        if den == 0:
+            raise KdSyntaxError("zero denominator", tok.line, tok.col)
+    value = Fraction(num, den)
     return -value if negative else value
 
 
@@ -481,7 +492,7 @@ def _parse_chain_decl(tz: Tokenizer, doc: Document):
         step = doc.lookup("kernel", ktok.text, ktok)
         tz.expect(",")
         ntok = tz.expect("int")
-        n = int(ntok.text)
+        n = _int_value(ntok)
         if n < 1:
             raise KdSyntaxError("chain length must be >= 1", ntok.line, ntok.col)
         tz.expect(")")

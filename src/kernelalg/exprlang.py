@@ -441,6 +441,13 @@ def _arg_value(doc: Document, kind, node):
     return eval_expr(doc, node)
 
 
+def _marginal(project, v):
+    """project on a kernel, or on a measure viewed as a kernel from unit."""
+    if isinstance(v, Kernel):
+        return project(v)
+    return alg.kernel_as_measure(project(alg.measure_as_kernel(v)))
+
+
 # -- the operator table ----------------------------------------------------------------
 
 
@@ -490,18 +497,10 @@ OPERATORS = {
         lambda m, f: alg.comp_prod_measure(m, f),
     ),
     "fst": Operator(
-        ("expr",),
-        _marginal_type("left"),
-        lambda v: alg.marginal_fst(v)
-        if isinstance(v, Kernel)
-        else alg.pushforward(v, alg.fst_proj(v.space.left, v.space.right)),
+        ("expr",), _marginal_type("left"), lambda v: _marginal(alg.marginal_fst, v)
     ),
     "snd": Operator(
-        ("expr",),
-        _marginal_type("right"),
-        lambda v: alg.marginal_snd(v)
-        if isinstance(v, Kernel)
-        else alg.pushforward(v, alg.snd_proj(v.space.left, v.space.right)),
+        ("expr",), _marginal_type("right"), lambda v: _marginal(alg.marginal_snd, v)
     ),
     "swapOn": Operator(
         ("space", "space"),

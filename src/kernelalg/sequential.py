@@ -28,14 +28,13 @@ from .algebra import (
     comp_measure,
     comp_prod,
     compose,
-    deterministic,
+    marginal_fst,
     prod_mk_left,
     rebracket_kernel,
 )
 from .errors import HorizonOutOfRange, KernelAlgError, SpaceMismatch
 from .measures import Kernel, Measure
 from .spaces import Product, SpaceExpr
-from .variables import RandomVariable
 
 __all__ = [
     "SplitMix64",
@@ -212,17 +211,9 @@ def projection_consistency(chain: KernelChain, n: int, m: int) -> bool:
     if not 1 <= m <= n:
         raise HorizonOutOfRange(f"projection horizon {m} outside 1..{n}")
     big = traj_kernel(chain, n)
-    small = traj_kernel(chain, m)
-    if m == n:
-        return big == small
-
-    def drop(atom):
-        for _ in range(n - m):
-            atom = atom[0]
-        return atom
-
-    proj = RandomVariable.from_function(big.codomain, small.codomain, drop)
-    return compose(deterministic(proj), big) == small
+    for _ in range(n - m):
+        big = marginal_fst(big)
+    return big == traj_kernel(chain, m)
 
 
 def trajectory_law(chain: KernelChain, n: int, initial: Measure | None = None) -> Measure:

@@ -202,5 +202,5 @@ def product_space(a: SpaceExpr, b: SpaceExpr) -> Product:
 def format_atom(atom) -> str:
     """Render an atom the way the .kd format writes it."""
     if isinstance(atom, tuple):
-        return f"({format_atom(atom[0])},{format_atom(atom[1])})"
+        return "(" + ",".join(format_atom(part) for part in atom) + ")"
     return atom

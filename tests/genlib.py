@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from kernelalg.algebra import deterministic
+from kernelalg.algebra import compose, copy_kernel, deterministic, fst_proj, pushforward
 from kernelalg.errors import KernelAlgError, SpaceMismatch
 from kernelalg.measures import Kernel, Measure
-from kernelalg.scalar import Scalar
-from kernelalg.sequential import SplitMix64, _RowSampler
+from kernelalg.scalar import ZERO, Scalar
+from kernelalg.sequential import SplitMix64, _RowSampler, traj_kernel
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product, format_atom
 from kernelalg.variables import RandomVariable
 
@@ -266,3 +266,67 @@ def sample_oracle(chain, n, seed, count, initial=None):
             history = (history, atom)
         out.append(tuple(traj))
     return out
+
+
+# -- measure operations as their own loops, projections through RandomVariables --
+#
+# The library computes these as kernel operations on measure_as_kernel(mu) and
+# projects by index maps; these are the earlier direct implementations.
+
+
+def loop_comp_measure(kappa, mu) -> Measure:
+    """Weight sum_x mu({x}) * kappa(x)({y}) at y, by a double loop."""
+    acc = [ZERO] * kappa.codomain.size
+    for xi, wx in enumerate(mu.weights):
+        if wx.is_zero():
+            continue
+        for yi, wy in enumerate(kappa.rows[xi].weights):
+            if not wy.is_zero():
+                acc[yi] = acc[yi] + wx * wy
+    return Measure(kappa.codomain, acc)
+
+
+def loop_comp_prod_measure(mu, kappa) -> Measure:
+    """Weight mu({x}) * kappa(x)({y}) at (x, y), row by row."""
+    n = kappa.codomain.size
+    weights = []
+    for wx, row in zip(mu.weights, kappa.rows):
+        if wx.is_zero():
+            weights.extend([ZERO] * n)
+        else:
+            weights.extend(wx * w if not w.is_zero() else ZERO for w in row.weights)
+    return Measure(Product(mu.space, kappa.codomain), weights)
+
+
+def loop_measure_rn_deriv(mu, nu) -> list:
+    return [
+        ZERO if wn.is_zero() else wm / wn for wm, wn in zip(mu.weights, nu.weights)
+    ]
+
+
+def rv_marginal(mu, project) -> Measure:
+    """fst or snd of a measure: its pushforward under fst_proj or snd_proj."""
+    return pushforward(mu, project(mu.space.left, mu.space.right))
+
+
+def rv_fst_after_copy(space) -> Kernel:
+    return compose(deterministic(fst_proj(space, space)), copy_kernel(space))
+
+
+def rv_drop_last(kernel, cod, count) -> Kernel:
+    """Compose with the map dropping the last `count` legs of a left-nested atom."""
+
+    def drop(atom):
+        for _ in range(count):
+            atom = atom[0]
+        return atom
+
+    proj = RandomVariable.from_function(kernel.codomain, cod, drop)
+    return compose(deterministic(proj), kernel)
+
+
+def rv_projection_consistency(chain, n, m) -> bool:
+    big, small = traj_kernel(chain, n), traj_kernel(chain, m)
+    if m == n:
+        return big == small
+    return rv_drop_last(big, small.codomain, n - m) == small

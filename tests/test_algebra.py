@@ -12,7 +12,10 @@ from genlib import (
     weather_space,
 )
 from kernelalg import algebra as alg
+from kernelalg.disintegration import measure_rn_deriv
 from kernelalg.errors import NotAProductCodomain, SpaceMismatch
+from kernelalg.exprlang import OPERATORS
+from kernelalg.laws import algebra_laws
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
@@ -415,3 +418,47 @@ def test_structural_maps_match_atom_tables():
         assert alg.prod_mk_right(lift, y).rows == tuple(lift.row(a) for a, _ in atoms)
         atoms = genlib.eager_atoms(Product(y, x))
         assert alg.prod_mk_left(y, lift).rows == tuple(lift.row(b) for _, b in atoms)
+
+
+# -- measures as kernels from unit, against the earlier direct loops -----------
+
+
+def test_measure_operations_match_their_loops():
+    rng = random.Random(44)
+    empty = fresh_space(rng, max_atoms=0, min_atoms=0)
+    for i in range(80):
+        x = [UNIT, empty][i] if i < 2 else random_tree(rng, 3)
+        y = random_tree(rng, 3)
+        pairs = [
+            (x, genlib.random_finite_kernel(rng, x, y, zero_frac=0.3)),
+            (Product(x, y), alg.swap_kernel(x, y)),
+            (x, alg.copy_kernel(x)),
+            (x, alg.discard_kernel(x)),
+        ]
+        if y.size or not x.size:
+            pairs.append((x, alg.deterministic(genlib.random_rv(rng, x, y))))
+        for space, kappa in pairs:
+            mu = genlib.random_measure(rng, space, zero_frac=0.3)
+            assert alg.comp_measure(kappa, mu) == genlib.loop_comp_measure(kappa, mu)
+            assert alg.comp_prod_measure(mu, kappa) == genlib.loop_comp_prod_measure(
+                mu, kappa
+            )
+        mu, nu = (genlib.random_measure(rng, y, zero_frac=0.3) for _ in range(2))
+        assert measure_rn_deriv(mu, nu) == genlib.loop_measure_rn_deriv(mu, nu)
+    with pytest.raises(SpaceMismatch, match="do not compare"):
+        measure_rn_deriv(uniform(weather_space()), dirac(UNIT, "()"))
+
+
+def test_projections_match_the_random_variable_route():
+    rng = random.Random(45)
+    for _ in range(60):
+        x, y = random_tree(rng, 3), random_tree(rng, 3)
+        mu = genlib.random_measure(rng, Product(x, y), zero_frac=0.3)
+        assert OPERATORS["fst"].evaluate(mu) == genlib.rv_marginal(mu, alg.fst_proj)
+        assert OPERATORS["snd"].evaluate(mu) == genlib.rv_marginal(mu, alg.snd_proj)
+        fst_copy = alg.marginal_fst(alg.copy_kernel(x))
+        assert fst_copy.index_map == genlib.rv_fst_after_copy(x).index_map
+        assert fst_copy == alg.identity_kernel(x)
+        k = genlib.random_finite_kernel(rng, x, y, zero_frac=0.3)
+        checked = [r for r in algebra_laws({"k": k}) if r.law == "fst.copy=id"]
+        assert len(checked) == len({str(x), str(y)}) and all(r.ok for r in checked)

@@ -1,5 +1,8 @@
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from kernelalg.cli import main
 
@@ -251,3 +254,21 @@ def test_long_chain_history_refused_exit_2(capsys, tmp_path):
         "error: 8:11: history space after step 12 has 1594323 atoms, "
         "above the limit of 1048576\n"
     )
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integer literals of any length",
+)
+def test_over_long_integer_literal_exit_2(capsys, tmp_path):
+    big = "1" * (sys.get_int_max_str_digits() + 1)
+    doc = tmp_path / "long.kd"
+    doc.write_text(f"space W {{ a b }}\nmeasure mu on W = {{ a: {big}/{big}0, b: 9/10 }}\n")
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "mu")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2:24: integer literal of")
+    code, out, err = run(
+        capsys, "eval", str(DATA / "01_weather.kd"), "--expr", f"renyi({big}, mu, mu)"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 1:7: integer literal of")

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -203,3 +204,29 @@ def test_partition_round_trip():
     # canonical form sorts atoms within a block by space order
     assert "{a c}" in serialize_document(doc)
     assert parse_document(serialize_document(doc)) == doc
+
+
+# Python's int() refuses decimal strings longer than this (0: no limit).
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(
+    not DIGIT_LIMIT, reason="this Python converts integer literals of any length"
+)
+def test_over_long_integer_literal_is_syntax_error():
+    big = "1" * (DIGIT_LIMIT + 1)
+    head = "space W { a }\nmeasure m on W = { a: 1 }\nkernel k : W -> W = { a: { a: 1 } }\n"
+    cases = [
+        ("measure n on W = { a: ", " }"),
+        ("measure n on W = { a: 1/", " }"),
+        ("realrv f on W = { a: -", "/2 }"),
+        ("chain c = markov(m, k, ", ")"),
+    ]
+    for before, after in cases:
+        with pytest.raises(KdSyntaxError) as exc:
+            parse_document(head + before + big + after)
+        assert (exc.value.line, exc.value.column) == (4, len(before) + 1)
+        assert f"integer literal of {DIGIT_LIMIT + 1} digits is too long" in str(exc.value)
+    # the limit itself still parses
+    doc = parse_document(head + f"realrv f on W = {{ a: {big[1:]} }}")
+    assert doc.realrvs["f"].values == (Fraction(int(big[1:])),)

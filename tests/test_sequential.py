@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import genlib
 from genlib import (
     fresh_space,
     random_markov_kernel,
@@ -27,7 +28,7 @@ from kernelalg.sequential import (
     traj_kernel,
     trajectory_law,
 )
-from kernelalg.spaces import Base, FiniteSpace, Product
+from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
 from kernelalg.variables import RandomVariable
 
 
@@ -329,3 +330,32 @@ def test_history_size_checked_before_building():
     over = Base(FiniteSpace("O", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024 + 1)]))
     with pytest.raises(KernelAlgError, match="after step 1 has 1049600 atoms"):
         KernelChain(big, [alg.const_kernel(big, uniform(over))])
+
+
+def chain_with_unit_and_empty_leaves(rng, length):
+    """A chain over random leaves; an empty start allows empty outputs too."""
+    start, *outs = genlib.random_leaves(rng, length + 1)
+    if start.size:
+        outs = [out if out.size else UNIT for out in outs]
+    history, steps = start, []
+    for out in outs:
+        steps.append(random_markov_kernel(rng, history, out, zero_frac=0.3))
+        history = Product(history, out)
+    return KernelChain(start, steps)
+
+
+def test_projection_consistency_matches_random_variable_route():
+    rng = random.Random(47)
+    for _ in range(12):
+        chain = chain_with_unit_and_empty_leaves(rng, 4)
+        for n in range(1, 5):
+            big = traj_kernel(chain, n)
+            for m in range(1, n + 1):
+                projected = big
+                for _ in range(n - m):
+                    projected = alg.marginal_fst(projected)
+                small = traj_kernel(chain, m)
+                assert projected == genlib.rv_drop_last(big, small.codomain, n - m)
+                assert projected == small
+                assert projection_consistency(chain, n, m)
+                assert genlib.rv_projection_consistency(chain, n, m)

@@ -90,6 +90,19 @@ def test_flatten_build_round_trip():
 def test_format_atom():
     assert format_atom((("a", "b"), "c")) == "((a,b),c)"
     assert format_atom(UNIT_ATOM) == "()"
+    assert format_atom(("a", "b", "c")) == "(a,b,c)"
+
+
+@pytest.mark.parametrize("space", [gb(), Product(gb(), gb())], ids=["base", "product"])
+@pytest.mark.parametrize(
+    "atom, shown",
+    [((), "()"), (("g",), "(g)"), (("g", "b", "g"), "(g,b,g)"), ((("g",), "b"), "((g),b)")],
+)
+def test_non_pair_tuple_atom_is_space_mismatch(space, atom, shown):
+    with pytest.raises(SpaceMismatch) as exc:
+        space.index_of(atom)
+    assert str(exc.value) == f"atom {shown} does not belong to space {space}"
+    assert atom not in space
 
 
 def foreign_atoms(rng, space, atoms):
