@@ -27,6 +27,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .measures import Kernel, Measure
+from .scalar import _format_rational
 from .spaces import Product
 from .variables import RandomVariable, RealRV
 
@@ -397,10 +398,10 @@ class SubgaussianCertificate:
     def as_dict(self):
         method = {"name": self.method[0]}
         if self.method[0] == "gridCheck":
-            method["T"] = str(self.method[1])
-            method["step"] = str(self.method[2])
+            method["T"] = _format_rational(self.method[1])
+            method["step"] = _format_rational(self.method[2])
         return {
-            "constant": str(self.constant),
+            "constant": _format_rational(self.constant),
             "scope": self.scope.describe(),
             "method": method,
             "verified": self.verified,
@@ -564,7 +565,7 @@ class HoeffdingReport:
 
     def as_dict(self):
         return {
-            "exactTail": str(self.exact_tail),
+            "exactTail": _format_rational(self.exact_tail),
             "bound": self.bound,
             "holds": self.holds,
         }

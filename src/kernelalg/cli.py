@@ -24,11 +24,11 @@ from .analytics import (
     KernelScope,
     PlainMeasureScope,
     certify_bounded_range,
-    certify_grid,
+    certify_subgaussian,
     hoeffding_check,
 )
 from .disintegration import DensityTable
-from .document import parse_document
+from .document import _weights_body, parse_document
 from .errors import (
     DocumentError,
     GridViolation,
@@ -40,6 +40,7 @@ from .exprlang import eval_expr, infer_type, parse_expr
 from .jsonio import dumps, format_float, render_value
 from .laws import run_laws
 from .measures import Kernel, Measure
+from .scalar import _format_rational
 from .sequential import sample
 from .spaces import format_atom
 
@@ -64,17 +65,11 @@ def _print_value(value, as_json: bool, log2: bool = False):
     if isinstance(value, Kernel):
         print(f"kernel : {value.domain} -> {value.codomain}")
         for atom, row in zip(value.domain.atoms, value.rows):
-            body = ", ".join(f"{format_atom(b)}: {w}" for b, w in row.items())
-            print(f"  {format_atom(atom)}: {{ {body} }}")
+            print(f"  {format_atom(atom)}: " + _weights_body(value.codomain, row.weights))
     elif isinstance(value, Measure):
-        body = ", ".join(f"{format_atom(a)}: {w}" for a, w in value.items())
-        print(f"measure on {value.space} = {{ {body} }}")
+        print(f"measure on {value.space} = " + _weights_body(value.space, value.weights))
     elif isinstance(value, DensityTable):
-        body = ", ".join(
-            f"{format_atom(a)}: {v}"
-            for a, v in zip(value.domain.atoms, value.values)
-        )
-        print(f"density on {value.domain} = {{ {body} }}")
+        print(f"density on {value.domain} = " + _weights_body(value.domain, value.values))
     elif isinstance(value, bool):
         print("true" if value else "false")
     elif isinstance(value, float):
@@ -127,24 +122,17 @@ def _cmd_certify(args) -> int:
         scope = KernelScope(doc.lookup("kernel", args.kernel), mu)
     else:
         scope = PlainMeasureScope(mu)
-    if args.method == "bounded":
-        cert = certify_bounded_range(x, scope)
-    else:
-        if args.c is None:
-            raise DocumentError("--method grid requires an explicit --c constant")
-        cert = certify_grid(
-            x,
-            scope,
-            Fraction(args.c),
-            Fraction(args.grid_T),
-            Fraction(args.grid_step),
-        )
+    if args.method == "grid" and args.c is None:
+        raise DocumentError("--method grid requires an explicit --c constant")
+    cert = certify_subgaussian(
+        x, scope, args.method, args.c, args.grid_T, args.grid_step
+    )
     if args.json:
         print(dumps(cert.as_dict()))
     else:
         method = cert.method[0]
         print(
-            f"certified: c = {cert.constant} via {method} "
+            f"certified: c = {_format_rational(cert.constant)} via {method} "
             f"({cert.scope.describe()})"
         )
     return 0
@@ -163,7 +151,7 @@ def _cmd_hoeffding(args) -> int:
         print(dumps(report.as_dict()))
     else:
         print(
-            f"exact tail {report.exact_tail} "
+            f"exact tail {_format_rational(report.exact_tail)} "
             f"<= bound {format_float(report.bound)}: "
             + ("holds" if report.holds else "VIOLATED")
         )

@@ -40,7 +40,7 @@ from .errors import (
     WeightCountMismatch,
 )
 from .measures import Kernel, Measure
-from .scalar import Scalar
+from .scalar import _format_rational
 from .sequential import KernelChain, markov_chain
 from .spaces import UNIT, UNIT_ATOM, Base, FiniteSpace, Product, SpaceExpr, format_atom
 from .variables import PartitionSigma, RandomVariable, RealRV
@@ -57,8 +57,9 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<punct>[{}():,=/\-])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 MAX_NESTING = 100
@@ -86,37 +87,35 @@ class Tokenizer:
     """Shared tokenizer for .kd documents and the expression language."""
 
     def __init__(self, text: str):
-        self.tokens = []
-        line, col = 1, 1
-        pos = 0
-        depth = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise KdSyntaxError(
-                    f"unexpected character {text[pos]!r}", line, col
-                )
+        tokens = []
+        line, line_start, depth = 1, 0, 0
+        for m in _TOKEN_RE.finditer(text):
             kind = m.lastgroup
             chunk = m.group()
-            if kind not in ("ws", "comment"):
-                label = chunk if kind == "punct" else kind
-                if label == "(":
+            if kind == "ws":
+                newlines = chunk.count("\n")
+                if newlines:
+                    line += newlines
+                    line_start = m.start() + chunk.rfind("\n") + 1
+                continue
+            if kind == "comment":
+                continue
+            col = m.start() - line_start + 1
+            if kind == "bad":
+                raise KdSyntaxError(f"unexpected character {chunk!r}", line, col)
+            if kind == "punct":
+                kind = chunk
+                if chunk == "(":
                     depth += 1
                     if depth > MAX_NESTING:
                         raise KdSyntaxError(
                             f"parentheses nested deeper than {MAX_NESTING}", line, col
                         )
-                elif label == ")":
+                elif chunk == ")":
                     depth -= 1
-                self.tokens.append(Token(label, chunk, line, col))
-            newlines = chunk.count("\n")
-            if newlines:
-                line += newlines
-                col = len(chunk) - chunk.rfind("\n")
-            else:
-                col += len(chunk)
-            pos = m.end()
-        self.tokens.append(Token("eof", "", line, col))
+            tokens.append(Token(kind, chunk, line, col))
+        tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+        self.tokens = tokens
         self.pos = 0
 
     def peek(self) -> Token:
@@ -210,14 +209,13 @@ def parse_document(text: str) -> Document:
     tz = Tokenizer(text)
     doc = Document()
     while not tz.at("eof"):
-        tok = tz.peek()
-        if tok.kind != "ident" or tok.text not in _KEYWORDS:
+        kw = tz.next()
+        if kw.kind != "ident" or kw.text not in _KEYWORDS:
             raise KdSyntaxError(
-                f"expected a declaration keyword, got {tok.text!r}",
-                tok.line,
-                tok.col,
+                f"expected a declaration keyword, got {kw.text!r}", kw.line, kw.col
             )
-        _PARSERS[tok.text](tz, doc)
+        name = _parse_name(tz)
+        doc.declare(kw.text, name.text, _PARSERS[kw.text](tz, doc, name.text), name)
     return doc
 
 
@@ -230,30 +228,39 @@ def _parse_name(tz: Tokenizer) -> Token:
     return tz.next()
 
 
-def _parse_space_expr(tz: Tokenizer, doc: Document) -> SpaceExpr:
+def _parse_space_expr(tz: Tokenizer, name, pair=Product):
+    """`unit`, a name or `(S x T)`: the one space-expression grammar.
+
+    `name` turns a name token into a factor and `pair` joins two factors, so
+    a document resolves names as it reads them and an expression defers that
+    to typechecking.
+    """
     tok = tz.peek()
     if tok.kind == "ident" and tok.text == "unit":
         tz.next()
         return UNIT
     if tok.kind == "(":
         tz.next()
-        left = _parse_space_expr(tz, doc)
+        left = _parse_space_expr(tz, name, pair)
         x = tz.expect("ident")
         if x.text != "x":
             raise KdSyntaxError(
                 f"expected 'x' between product factors, got {x.text!r}", x.line, x.col
             )
-        right = _parse_space_expr(tz, doc)
+        right = _parse_space_expr(tz, name, pair)
         tz.expect(")")
-        return Product(left, right)
+        return pair(left, right)
     if tok.kind == "ident":
-        tz.next()
-        return doc.lookup("space", tok.text, tok)
+        return name(tz.next())
     raise KdSyntaxError(
         f"expected a space expression, got {tok.text or 'end of input'!r}",
         tok.line,
         tok.col,
     )
+
+
+def _parse_space(tz: Tokenizer, doc: Document) -> SpaceExpr:
+    return _parse_space_expr(tz, lambda tok: doc.lookup("space", tok.text, tok))
 
 
 def _parse_atom(tz: Tokenizer):
@@ -313,31 +320,47 @@ def _parse_rational(tz: Tokenizer, signed=False) -> Fraction:
     return -value if negative else value
 
 
-def _parse_weight_block(tz: Tokenizer, space: SpaceExpr, signed=False) -> dict:
-    """Parse `{ atom: p/q, ... }` covering every atom of the space exactly once."""
-    opener = tz.expect("{")
-    seen = {}
+def _parse_atom_block(tz: Tokenizer, space: SpaceExpr, sep, value, repeated) -> dict:
+    """Parse `{ atom <sep> value, ... }` over `space`, each atom at most once.
+
+    `value` parses one entry's value; `repeated` formats the message for an
+    atom listed twice.
+    """
+    tz.expect("{")
+    entries = {}
     while not tz.at("}"):
         tok = tz.peek()
         atom = _parse_checked_atom(tz, space)
-        if atom in seen:
-            raise DuplicateName(
-                f"atom {format_atom(atom)} listed twice", tok.line, tok.col
-            )
-        tz.expect(":")
-        seen[atom] = _parse_rational(tz, signed=signed)
+        if atom in entries:
+            raise DuplicateName(repeated.format(format_atom(atom)), tok.line, tok.col)
+        tz.expect(sep)
+        entries[atom] = value(tz)
         if tz.at(","):
             tz.next()
     tz.expect("}")
-    if len(seen) != space.size:
-        missing = [a for a in space.atoms if a not in seen]
+    return entries
+
+
+def _in_atom_order(entries: dict, space: SpaceExpr, what, tok: Token) -> list:
+    """The block's values in atom order; an atom left out is reported at tok."""
+    if len(entries) != space.size:
+        missing = [a for a in space.atoms if a not in entries]
         raise WeightCountMismatch(
-            f"{len(seen)} weights for {space.size} atoms of {space}; "
+            f"{len(entries)} {what} for {space.size} atoms of {space}; "
             "missing " + ", ".join(format_atom(a) for a in missing),
-            opener.line,
-            opener.col,
+            tok.line,
+            tok.col,
         )
-    return seen
+    return [entries[a] for a in space.atoms]
+
+
+def _parse_weights(tz: Tokenizer, space: SpaceExpr, signed=False) -> list:
+    """Parse `{ atom: p/q, ... }` covering every atom of the space exactly once."""
+    opener = tz.peek()
+    weights = _parse_atom_block(
+        tz, space, ":", lambda tz: _parse_rational(tz, signed), "atom {} listed twice"
+    )
+    return _in_atom_order(weights, space, "weights", opener)
 
 
 def _wrap_build(tok: Token, build):
@@ -350,118 +373,80 @@ def _wrap_build(tok: Token, build):
         raise DocumentError(str(exc), tok.line, tok.col) from exc
 
 
-def _parse_space_decl(tz: Tokenizer, doc: Document):
-    kw = tz.expect("ident", "space")
-    name = _parse_name(tz)
+def _parse_ref(tz: Tokenizer, doc: Document, sort):
+    """A name declared above as `sort`: the name and the object."""
+    tok = _parse_name(tz)
+    return tok.text, doc.lookup(sort, tok.text, tok)
+
+
+def _parse_on(tz: Tokenizer, doc: Document):
+    """`on S =`: the space and the `=` token."""
+    tz.expect("ident", "on")
+    space = _parse_space(tz, doc)
+    return space, tz.expect("=")
+
+
+def _parse_signature(tz: Tokenizer, doc: Document):
+    """`: S -> T =`: the two spaces and the `=` token."""
+    tz.expect(":")
+    dom = _parse_space(tz, doc)
+    tz.expect("arrow")
+    cod = _parse_space(tz, doc)
+    return dom, cod, tz.expect("=")
+
+
+def _parse_space_decl(tz: Tokenizer, doc: Document, name):
     tz.expect("{")
-    labels = []
+    labels = {}  # an ordered set
     while not tz.at("}"):
-        tok = tz.peek()
+        tok = tz.next()
         if tok.kind not in ("ident", "int"):
             raise KdSyntaxError(
                 f"expected an atom label, got {tok.text!r}", tok.line, tok.col
             )
         if tok.text in labels:
-            raise DuplicateName(
-                f"atom label {tok.text!r} repeated", tok.line, tok.col
-            )
-        labels.append(tz.next().text)
+            raise DuplicateName(f"atom label {tok.text!r} repeated", tok.line, tok.col)
+        labels[tok.text] = None
     tz.expect("}")
-    space = _wrap_build(kw, lambda: Base(FiniteSpace(name.text, labels)))
-    doc.declare("space", name.text, space, name)
+    return Base(FiniteSpace(name, labels))
 
 
-def _parse_measure_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "measure")
-    name = _parse_name(tz)
-    tz.expect("ident", "on")
-    space = _parse_space_expr(tz, doc)
-    eq = tz.expect("=")
-    weights = _parse_weight_block(tz, space)
-    measure = _wrap_build(
-        eq, lambda: Measure(space, [Scalar(weights[a]) for a in space.atoms])
+def _parse_measure_decl(tz: Tokenizer, doc: Document, name):
+    space, _ = _parse_on(tz, doc)
+    return Measure(space, _parse_weights(tz, space))
+
+
+def _parse_kernel_decl(tz: Tokenizer, doc: Document, name):
+    dom, cod, eq = _parse_signature(tz, doc)
+    rows = _parse_atom_block(
+        tz,
+        dom,
+        ":",
+        lambda tz: Measure(cod, _parse_weights(tz, cod)),
+        "row for atom {} repeated",
     )
-    doc.declare("measure", name.text, measure, name)
+    return Kernel(dom, cod, _in_atom_order(rows, dom, "rows", eq))
 
 
-def _parse_kernel_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "kernel")
-    name = _parse_name(tz)
-    tz.expect(":")
-    dom = _parse_space_expr(tz, doc)
-    tz.expect("arrow")
-    cod = _parse_space_expr(tz, doc)
-    eq = tz.expect("=")
-    tz.expect("{")
-    rows = {}
-    while not tz.at("}"):
-        tok = tz.peek()
-        atom = _parse_checked_atom(tz, dom)
-        if atom in rows:
-            raise DuplicateName(
-                f"row for atom {format_atom(atom)} repeated", tok.line, tok.col
-            )
-        tz.expect(":")
-        weights = _parse_weight_block(tz, cod)
-        rows[atom] = Measure(cod, [Scalar(weights[a]) for a in cod.atoms])
-        if tz.at(","):
-            tz.next()
-    tz.expect("}")
-    if len(rows) != dom.size:
-        missing = [a for a in dom.atoms if a not in rows]
-        raise WeightCountMismatch(
-            f"{len(rows)} rows for {dom.size} atoms of {dom}; missing "
-            + ", ".join(format_atom(a) for a in missing),
-            eq.line,
-            eq.col,
-        )
-    kernel = _wrap_build(eq, lambda: Kernel(dom, cod, [rows[a] for a in dom.atoms]))
-    doc.declare("kernel", name.text, kernel, name)
+def _parse_rv_decl(tz: Tokenizer, doc: Document, name):
+    dom, cod, eq = _parse_signature(tz, doc)
+    table = _parse_atom_block(
+        tz,
+        dom,
+        "arrow",
+        lambda tz: _parse_checked_atom(tz, cod),
+        "map entry for {} repeated",
+    )
+    return _wrap_build(eq, lambda: RandomVariable(dom, cod, table))
 
 
-def _parse_rv_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "rv")
-    name = _parse_name(tz)
-    tz.expect(":")
-    dom = _parse_space_expr(tz, doc)
-    tz.expect("arrow")
-    cod = _parse_space_expr(tz, doc)
-    eq = tz.expect("=")
-    tz.expect("{")
-    table = {}
-    while not tz.at("}"):
-        tok = tz.peek()
-        src = _parse_checked_atom(tz, dom)
-        if src in table:
-            raise DuplicateName(
-                f"map entry for {format_atom(src)} repeated", tok.line, tok.col
-            )
-        tz.expect("arrow")
-        table[src] = _parse_checked_atom(tz, cod)
-        if tz.at(","):
-            tz.next()
-    tz.expect("}")
-    rv = _wrap_build(eq, lambda: RandomVariable(dom, cod, table))
-    doc.declare("rv", name.text, rv, name)
+def _parse_realrv_decl(tz: Tokenizer, doc: Document, name):
+    space, _ = _parse_on(tz, doc)
+    return RealRV(space, _parse_weights(tz, space, signed=True))
 
 
-def _parse_realrv_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "realrv")
-    name = _parse_name(tz)
-    tz.expect("ident", "on")
-    space = _parse_space_expr(tz, doc)
-    eq = tz.expect("=")
-    values = _parse_weight_block(tz, space, signed=True)
-    rv = _wrap_build(eq, lambda: RealRV(space, [values[a] for a in space.atoms]))
-    doc.declare("realrv", name.text, rv, name)
-
-
-def _parse_partition_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "partition")
-    name = _parse_name(tz)
-    tz.expect("ident", "on")
-    space = _parse_space_expr(tz, doc)
-    eq = tz.expect("=")
+def _parse_partition_decl(tz: Tokenizer, doc: Document, name):
+    space, eq = _parse_on(tz, doc)
     tz.expect("{")
     blocks = []
     while not tz.at("}"):
@@ -474,52 +459,38 @@ def _parse_partition_decl(tz: Tokenizer, doc: Document):
         if tz.at(","):
             tz.next()
     tz.expect("}")
-    partition = _wrap_build(eq, lambda: PartitionSigma(space, blocks))
-    doc.declare("partition", name.text, partition, name)
+    return _wrap_build(eq, lambda: PartitionSigma(space, blocks))
 
 
-def _parse_chain_decl(tz: Tokenizer, doc: Document):
-    tz.expect("ident", "chain")
-    name = _parse_name(tz)
+def _parse_chain_decl(tz: Tokenizer, doc: Document, name):
     tz.expect("=")
     form = tz.expect("ident")
+    if form.text not in ("markov", "steps"):
+        raise KdSyntaxError(
+            f"expected 'markov' or 'steps', got {form.text!r}", form.line, form.col
+        )
+    tz.expect("(")
     if form.text == "markov":
-        tz.expect("(")
-        mtok = _parse_name(tz)
-        initial = doc.lookup("measure", mtok.text, mtok)
+        mname, initial = _parse_ref(tz, doc, "measure")
         tz.expect(",")
-        ktok = _parse_name(tz)
-        step = doc.lookup("kernel", ktok.text, ktok)
+        kname, step = _parse_ref(tz, doc, "kernel")
         tz.expect(",")
         ntok = tz.expect("int")
         n = _int_value(ntok)
         if n < 1:
             raise KdSyntaxError("chain length must be >= 1", ntok.line, ntok.col)
-        tz.expect(")")
-        chain = _wrap_build(form, lambda: markov_chain(initial, step, n))
-        doc.chain_specs[name.text] = ("markov", mtok.text, ktok.text, n)
-    elif form.text == "steps":
-        tz.expect("(")
-        step_names = []
-        steps = []
-        while True:
-            ktok = _parse_name(tz)
-            step_names.append(ktok.text)
-            steps.append(doc.lookup("kernel", ktok.text, ktok))
-            if tz.at(","):
-                tz.next()
-                continue
-            break
-        tz.expect(")")
-        chain = _wrap_build(
-            form, lambda: KernelChain(steps[0].domain, steps)
-        )
-        doc.chain_specs[name.text] = ("steps", tuple(step_names))
+        doc.chain_specs[name] = ("markov", mname, kname, n)
+        build = lambda: markov_chain(initial, step, n)  # noqa: E731
     else:
-        raise KdSyntaxError(
-            f"expected 'markov' or 'steps', got {form.text!r}", form.line, form.col
-        )
-    doc.declare("chain", name.text, chain, name)
+        refs = [_parse_ref(tz, doc, "kernel")]
+        while tz.at(","):
+            tz.next()
+            refs.append(_parse_ref(tz, doc, "kernel"))
+        names, steps = zip(*refs)
+        doc.chain_specs[name] = ("steps", names)
+        build = lambda: KernelChain(steps[0].domain, steps)  # noqa: E731
+    tz.expect(")")
+    return _wrap_build(form, build)
 
 
 _PARSERS = {
@@ -537,13 +508,11 @@ _PARSERS = {
 
 
 def _weights_body(space, values) -> str:
-    return (
-        "{ "
-        + ", ".join(
-            f"{format_atom(a)}: {v}" for a, v in zip(space.atoms, values)
-        )
-        + " }"
+    """`{ atom: p/q, ... }` of rationals listed in the space's atom order."""
+    body = ", ".join(
+        f"{format_atom(a)}: {_format_rational(v)}" for a, v in zip(space.atoms, values)
     )
+    return "{ " + body + " }"
 
 
 def serialize_document(doc: Document) -> str:
@@ -556,14 +525,14 @@ def serialize_document(doc: Document) -> str:
         elif sort == "measure":
             chunks.append(
                 f"measure {name} on {obj.space} = "
-                + _weights_body(obj.space, [str(w) for w in obj.weights])
+                + _weights_body(obj.space, obj.weights)
             )
         elif sort == "kernel":
             lines = [f"kernel {name} : {obj.domain} -> {obj.codomain} = {{"]
             for atom, row in zip(obj.domain.atoms, obj.rows):
                 lines.append(
                     f"  {format_atom(atom)}: "
-                    + _weights_body(obj.codomain, [str(w) for w in row.weights])
+                    + _weights_body(obj.codomain, row.weights)
                 )
             lines.append("}")
             chunks.append("\n".join(lines))
@@ -576,7 +545,7 @@ def serialize_document(doc: Document) -> str:
         elif sort == "realrv":
             chunks.append(
                 f"realrv {name} on {obj.domain} = "
-                + _weights_body(obj.domain, [str(v) for v in obj.values])
+                + _weights_body(obj.domain, obj.values)
             )
         elif sort == "partition":
             blocks = " ".join(

@@ -30,7 +30,7 @@ from .analytics import (
 from .bayes import posterior
 from .conditioning import cond_indep_fun, indep_fun
 from .disintegration import cond_kernel, cond_kernel_measure, rn_deriv, singular_part
-from .document import Document, Tokenizer, _parse_rational
+from .document import Document, Tokenizer, _parse_rational, _parse_space_expr
 from .errors import ArityError, ExprTypeError, KdSyntaxError, UnknownName
 from .measures import Kernel
 from .sequential import traj_kernel
@@ -120,10 +120,14 @@ def parse_expr(text: str):
 
 def _parse_node(tz: Tokenizer):
     tok = tz.peek()
+    if tok.kind == "(" or (tok.kind == "ident" and tok.text == "unit"):
+        # Space names are resolved when the expression is typechecked.
+        space = _parse_space_expr(
+            tz, lambda t: Name(t.text, t.line, t.col), lambda s, t: (s, t)
+        )
+        return SpaceArg(space, tok.line, tok.col)
     if tok.kind == "ident":
         tz.next()
-        if tok.text == "unit":
-            return SpaceArg(UNIT, tok.line, tok.col)
         if tz.at("("):
             if tok.text not in OPERATORS:
                 raise UnknownName(
@@ -148,36 +152,10 @@ def _parse_node(tz: Tokenizer):
         return Name(tok.text, tok.line, tok.col)
     if tok.kind == "int":
         return RatArg(_parse_rational(tz), tok.line, tok.col)
-    if tok.kind == "(":
-        return SpaceArg(_parse_space_operand(tz), tok.line, tok.col)
     raise KdSyntaxError(
         f"unexpected token {tok.text or 'end of input'!r} in expression",
         tok.line,
         tok.col,
-    )
-
-
-def _parse_space_operand(tz: Tokenizer):
-    """`unit`, a space name (a Name node) or `(S x T)` (a pair of operands)."""
-    tok = tz.peek()
-    if tok.kind == "ident":
-        tz.next()
-        if tok.text == "unit":
-            return UNIT
-        return Name(tok.text, tok.line, tok.col)
-    if tok.kind == "(":
-        tz.next()
-        left = _parse_space_operand(tz)
-        x = tz.expect("ident")
-        if x.text != "x":
-            raise KdSyntaxError(
-                f"expected 'x' between product factors, got {x.text!r}", x.line, x.col
-            )
-        right = _parse_space_operand(tz)
-        tz.expect(")")
-        return (left, right)
-    raise KdSyntaxError(
-        f"expected a space expression, got {tok.text!r}", tok.line, tok.col
     )
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .disintegration import DensityTable
 from .measures import Kernel, Measure
-from .scalar import Scalar
+from .scalar import Scalar, _format_rational
 from .spaces import format_atom
 
 
@@ -38,7 +38,7 @@ def dumps(tree) -> str:
     if isinstance(tree, int):
         return str(tree)
     if isinstance(tree, (Fraction, Scalar)):
-        return json.dumps(str(tree))
+        return json.dumps(_format_rational(tree))
     if tree is None:
         return "null"
     return json.dumps(tree)
@@ -78,7 +78,7 @@ def render_value(value):
     if isinstance(value, bool) or isinstance(value, float):
         return value
     if isinstance(value, (Fraction, Scalar)):
-        return str(value)
+        return _format_rational(value)
     if hasattr(value, "as_dict"):
         return value.as_dict()
     return value

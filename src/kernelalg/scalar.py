@@ -11,6 +11,7 @@ upstream.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import NegativeScalar
@@ -94,10 +95,27 @@ class Scalar:
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        return str(self._frac)
+        return _format_rational(self._frac)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
+
+
+# Python refuses str() of an int past sys.get_int_max_str_digits() digits, a
+# limit of at least 640; ints of up to 2000 bits have at most 603 digits.
+_STR_SAFE_BITS = 2000
+
+
+def _int_text(n: int) -> str:
+    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
+
+
+def _format_rational(q) -> str:
+    """`p/q`, or `p` when q is 1, of a Fraction or Scalar, with every digit."""
+    num, den = q.numerator, q.denominator
+    if den == 1:
+        return _int_text(num)
+    return f"{_int_text(num)}/{_int_text(den)}"
 
 
 def _wrap(frac: Fraction) -> Scalar:

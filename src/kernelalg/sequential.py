@@ -14,9 +14,11 @@ inverse CDF against thresholds computed in exact arithmetic and scaled to
 2**64, compared directly with the raw 64-bit draw.  No float is involved, so
 two runs with one seed agree bit for bit on every platform.
 
-Every history space of a chain is checked before anything is built: one with
-more than MAX_HISTORY_ATOMS atoms is refused.  The horizon-n trajectory
-kernel has exactly |history_n| entries, so this also bounds traj_kernel.
+Every chain is checked before anything is built: one with more than
+MAX_CHAIN_STEPS steps, or with a history space of more than MAX_HISTORY_ATOMS
+atoms, is refused.  The horizon-n trajectory kernel has exactly |history_n|
+entries, so this also bounds traj_kernel.  The step limit matters only on a
+one-atom state space, whose histories never grow.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "SplitMix64",
     "PRNG_ALGORITHM",
     "MAX_HISTORY_ATOMS",
+    "MAX_CHAIN_STEPS",
     "KernelChain",
     "markov_chain",
     "traj_kernel",
@@ -53,6 +56,10 @@ PRNG_ALGORITHM = "splitmix64"
 
 # Largest history space a chain may have: start x out_1 x ... x out_i.
 MAX_HISTORY_ATOMS = 1 << 20
+
+# Most steps a chain may have; each step nests its history space one level
+# deeper, and the space and atom code recurses once per level.
+MAX_CHAIN_STEPS = 64
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -107,8 +114,13 @@ class _RowSampler:
         return bisect_right(self.thresholds, u)
 
 
-def _check_history_sizes(start: SpaceExpr, outs):
-    """Refuse a chain with a history space above MAX_HISTORY_ATOMS atoms."""
+def _check_chain_sizes(start: SpaceExpr, outs, steps: int):
+    """Refuse a chain of more than MAX_CHAIN_STEPS steps, or one with a
+    history space above MAX_HISTORY_ATOMS atoms."""
+    if steps > MAX_CHAIN_STEPS:
+        raise KernelAlgError(
+            f"chain of {steps} steps, above the limit of {MAX_CHAIN_STEPS}"
+        )
     size = start.size
     for i, out in enumerate(outs, 1):
         size *= out.size
@@ -126,7 +138,7 @@ class KernelChain:
 
     def __init__(self, start: SpaceExpr, steps, initial: Measure | None = None):
         steps = tuple(steps)
-        _check_history_sizes(start, (step.codomain for step in steps))
+        _check_chain_sizes(start, (step.codomain for step in steps), len(steps))
         history = start
         for i, step in enumerate(steps):
             if step.domain != history:
@@ -175,7 +187,7 @@ def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
             f"initial distribution on {initial.space} does not match state space "
             f"{step.domain}"
         )
-    _check_history_sizes(step.domain, repeat(step.codomain, n))
+    _check_chain_sizes(step.domain, repeat(step.codomain, n), n)
     steps = [step]
     history = step.domain
     for _ in range(1, n):

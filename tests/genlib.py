@@ -9,10 +9,12 @@ the library's own code paths (explicit sums, full rectangle enumeration).
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 from kernelalg.algebra import compose, copy_kernel, deterministic, fst_proj, pushforward
-from kernelalg.errors import KernelAlgError, SpaceMismatch
+from kernelalg.document import MAX_NESTING
+from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
 from kernelalg.measures import Kernel, Measure
 from kernelalg.scalar import ZERO, Scalar
 from kernelalg.sequential import SplitMix64, _RowSampler, traj_kernel
@@ -330,3 +332,55 @@ def rv_projection_consistency(chain, n, m) -> bool:
     if m == n:
         return big == small
     return rv_drop_last(big, small.codomain, n - m) == small
+
+
+# -- the match-loop tokenizer ---------------------------------------------------------
+#
+# The library tokenizes in one finditer pass; this is the earlier loop that
+# matched at a moving position and counted lines and columns chunk by chunk.
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<arrow>->)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<punct>[{}():,=/\-])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokens(text: str) -> list:
+    """(kind, text, line, col) of every token and the final eof, or KdSyntaxError."""
+    tokens = []
+    line, col = 1, 1
+    pos = 0
+    depth = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise KdSyntaxError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            label = chunk if kind == "punct" else kind
+            if label == "(":
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise KdSyntaxError(
+                        f"parentheses nested deeper than {MAX_NESTING}", line, col
+                    )
+            elif label == ")":
+                depth -= 1
+            tokens.append((label, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(("eof", "", line, col))
+    return tokens

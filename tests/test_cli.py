@@ -1,5 +1,7 @@
 import json
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -254,6 +256,52 @@ def test_long_chain_history_refused_exit_2(capsys, tmp_path):
         "error: 8:11: history space after step 12 has 1594323 atoms, "
         "above the limit of 1048576\n"
     )
+
+
+ONE_ATOM = "space U { a }\nmeasure mu on U = { a: 1 }\nkernel k : U -> U = { a: { a: 1 } }\n"
+
+
+@pytest.mark.parametrize("n", [2000, 3_000_000])
+def test_long_chain_on_one_atom_refused_exit_2(capsys, tmp_path, n):
+    doc = tmp_path / "long.kd"
+    doc.write_text(ONE_ATOM + f"chain c = markov(mu, k, {n})\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "k")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == f"error: 4:11: chain of {n} steps, above the limit of 64\n"
+
+
+def test_chain_at_the_step_limit_builds(capsys, tmp_path):
+    doc = tmp_path / "limit.kd"
+    doc.write_text(ONE_ATOM + "chain c = markov(mu, k, 64)\n")
+    code, out, _ = run(
+        capsys, "simulate", str(doc), "--chain", "c", "-n", "64", "--seed", "1", "--count", "1"
+    )
+    assert (code, out) == (0, "→".join(["a"] * 64) + "\n")
+
+
+def test_results_past_the_int_to_str_digit_limit_print_in_full(capsys, tmp_path):
+    sevens, threes = "7" * 3000, "3" * 3000
+    doc = tmp_path / "big.kd"
+    doc.write_text(
+        "space W { a b }\n"
+        f"measure mu on W = {{ a: 1/{sevens}, b: 0 }}\n"
+        f"measure nu on W = {{ a: 1/{threes}, b: 0 }}\n"
+    )
+    den = str(Decimal(int(sevens) * int(threes)))
+    assert len(den) > 4300
+    expr = "mcompProd(mu, const(W, nu))"
+    code, out, err = run(capsys, "eval", str(doc), "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out == (
+        f"measure on (W x W) = {{ (a,a): 1/{den}, (a,b): 0, (b,a): 0, (b,b): 0 }}\n"
+    )
+    code, out, err = run(capsys, "eval", str(doc), "--expr", expr, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["weights"] == {
+        "(a,a)": f"1/{den}", "(a,b)": "0", "(b,a)": "0", "(b,b)": "0"
+    }
 
 
 @pytest.mark.skipif(

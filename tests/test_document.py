@@ -1,4 +1,5 @@
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,6 +148,14 @@ def test_signed_values_allowed_for_realrv():
     from fractions import Fraction
 
     assert doc.realrvs["f"].values == (Fraction(-3, 2), Fraction(2))
+
+
+def test_large_space_declaration_parses_in_linear_time():
+    labels = [f"a{i}" for i in range(20000)]
+    start = time.perf_counter()
+    doc = parse_document("space S { " + " ".join(labels) + " }")
+    assert time.perf_counter() - start < 1.0
+    assert doc.spaces["S"].atoms == tuple(labels)
 
 
 def test_empty_space_parses():

@@ -204,6 +204,11 @@ def test_arity_and_syntax_errors():
         parse_expr("comp(k, k) trailing")
     with pytest.raises(UnknownName):
         parse_expr("nosuchop(k)")
+    # Space expressions share the .kd grammar and its messages.
+    with pytest.raises(
+        KdSyntaxError, match="1:12: expected a space expression, got 'end of input'"
+    ):
+        parse_expr("swapOn((W x")
 
 
 # A case for every operator.  Where a case's spaces coincide (k : W -> W), a

@@ -1,9 +1,11 @@
-"""Fuzzing of the two parsers.
+"""Fuzzing of the two parsers and the tokenizer they share.
 
 Inputs are random token text and token-level mutations of the checked-in
 documents and expressions.  Every input must either parse, and then
 round-trip byte-stably, or raise DocumentError carrying a line and column;
-no other exception may escape.
+no other exception may escape.  The tokenizer is compared with the earlier
+match-loop tokenizer kept in genlib on random characters and character-level
+mutations of every checked-in document.
 """
 
 import json
@@ -13,12 +15,15 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelalg.document import parse_document, serialize_document
-from kernelalg.errors import DocumentError
+from genlib import reference_tokens
+from kernelalg.document import Tokenizer, parse_document, serialize_document
+from kernelalg.errors import DocumentError, KdSyntaxError
 from kernelalg.exprlang import OPERATORS, Call, Name, RatArg, SpaceArg, parse_expr
 
 DATA = Path(__file__).parent / "data"
 DOCUMENTS = [path.read_text() for path in sorted(DATA.rglob("*.kd"))]
+DOCS = Path(__file__).parent.parent / "docs"
+ALL_DOCUMENTS = DOCUMENTS + [path.read_text() for path in sorted(DOCS.glob("*.kd"))]
 EXPRESSIONS = sorted(
     expr
     for table in json.loads((DATA / "exprlang" / "golden.json").read_text()).values()
@@ -125,3 +130,44 @@ def test_document_parser_fuzz(text):
 @given(st.one_of(random_text(), mutated(EXPRESSIONS), mutated(DOCUMENTS)))
 def test_expression_parser_fuzz(text):
     check_expr(text)
+
+
+# -- the tokenizer against the match-loop reference ----------------------------------
+
+CHARS = "ab_xZ09 \t\r\n\x0b#(){}:,=/-<>.$é→"
+
+
+def token_outcome(tokenize, text):
+    try:
+        return tokenize(text)
+    except KdSyntaxError as exc:
+        return (type(exc).__name__, str(exc), exc.line, exc.column)
+
+
+def check_tokens(text):
+    tokens = lambda t: [(k.kind, k.text, k.line, k.col) for k in Tokenizer(t).tokens]
+    assert token_outcome(tokens, text) == token_outcome(reference_tokens, text)
+
+
+@st.composite
+def char_mutated(draw):
+    chars = list(draw(st.sampled_from(ALL_DOCUMENTS)))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, len(chars)))
+        if draw(st.booleans()) and i < len(chars):
+            del chars[i]
+        else:
+            chars.insert(i, draw(st.sampled_from(CHARS)))
+    return "".join(chars)
+
+
+def test_tokenizer_matches_reference_on_every_document():
+    assert len(ALL_DOCUMENTS) >= 12
+    for text in ALL_DOCUMENTS + ["", "\n", "(" * 100 + ")" * 100, "(" * 101]:
+        check_tokens(text)
+
+
+@FUZZ
+@given(st.one_of(st.text(CHARS, max_size=80), random_text(), char_mutated()))
+def test_tokenizer_matches_reference(text):
+    check_tokens(text)

@@ -18,6 +18,7 @@ from kernelalg.errors import HorizonOutOfRange, KernelAlgError, NotMarkov, Space
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, Scalar
 from kernelalg.sequential import (
+    MAX_CHAIN_STEPS,
     MAX_HISTORY_ATOMS,
     KernelChain,
     SplitMix64,
@@ -330,6 +331,26 @@ def test_history_size_checked_before_building():
     over = Base(FiniteSpace("O", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024 + 1)]))
     with pytest.raises(KernelAlgError, match="after step 1 has 1049600 atoms"):
         KernelChain(big, [alg.const_kernel(big, uniform(over))])
+
+
+def test_step_count_checked_before_building():
+    """On one atom the history never grows; the step count is bounded instead."""
+    u = Base(FiniteSpace("U", ["a"]))
+    k = alg.identity_kernel(u)
+    assert len(markov_chain(dirac(u, "a"), k, MAX_CHAIN_STEPS)) == MAX_CHAIN_STEPS
+    for n in (MAX_CHAIN_STEPS + 1, 2000, 3_000_000):
+        start = time.perf_counter()
+        with pytest.raises(KernelAlgError) as exc:
+            markov_chain(dirac(u, "a"), k, n)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == f"chain of {n} steps, above the limit of 64"
+    steps, history = [], u
+    for _ in range(MAX_CHAIN_STEPS + 1):
+        steps.append(alg.const_kernel(history, dirac(u, "a")))
+        history = Product(history, u)
+    assert len(KernelChain(u, steps[:-1])) == MAX_CHAIN_STEPS
+    with pytest.raises(KernelAlgError, match="chain of 65 steps, above the limit"):
+        KernelChain(u, steps)
 
 
 def chain_with_unit_and_empty_leaves(rng, length):
