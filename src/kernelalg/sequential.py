@@ -114,12 +114,12 @@ class _RowSampler:
         return bisect_right(self.thresholds, u)
 
 
-def _check_chain_sizes(start: SpaceExpr, outs, steps: int):
+def _check_chain_sizes(start: SpaceExpr, outs, count: int):
     """Refuse a chain of more than MAX_CHAIN_STEPS steps, or one with a
     history space above MAX_HISTORY_ATOMS atoms."""
-    if steps > MAX_CHAIN_STEPS:
+    if count > MAX_CHAIN_STEPS:
         raise KernelAlgError(
-            f"chain of {steps} steps, above the limit of {MAX_CHAIN_STEPS}"
+            f"chain of {count} steps, above the limit of {MAX_CHAIN_STEPS}"
         )
     size = start.size
     for i, out in enumerate(outs, 1):
