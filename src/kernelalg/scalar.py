@@ -101,21 +101,15 @@ class Scalar:
         return f"Scalar({self})"
 
 
-# Python refuses str() of an int past sys.get_int_max_str_digits() digits, a
-# limit of at least 640; ints of up to 2000 bits have at most 603 digits.
-_STR_SAFE_BITS = 2000
-
-
-def _int_text(n: int) -> str:
-    return str(n) if n.bit_length() <= _STR_SAFE_BITS else str(Decimal(n))
-
-
 def _format_rational(q) -> str:
-    """`p/q`, or `p` when q is 1, of a Fraction or Scalar, with every digit."""
+    """`p/q`, or `p` when q is 1, of a Fraction or Scalar, with every digit.
+
+    Digits go through Decimal, which has no limit on them; str() of an int
+    refuses past sys.get_int_max_str_digits() digits."""
     num, den = q.numerator, q.denominator
     if den == 1:
-        return _int_text(num)
-    return f"{_int_text(num)}/{_int_text(den)}"
+        return str(Decimal(num))
+    return f"{Decimal(num)}/{Decimal(den)}"
 
 
 def _wrap(frac: Fraction) -> Scalar:

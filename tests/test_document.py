@@ -151,11 +151,17 @@ def test_signed_values_allowed_for_realrv():
 
 
 def test_large_space_declaration_parses_in_linear_time():
-    labels = [f"a{i}" for i in range(20000)]
-    start = time.perf_counter()
-    doc = parse_document("space S { " + " ".join(labels) + " }")
-    assert time.perf_counter() - start < 1.0
-    assert doc.spaces["S"].atoms == tuple(labels)
+    """Eight times the labels take about eight times as long, not 64 times as
+    long; the best of five interleaved runs keeps load spikes out."""
+    texts = {n: "space S { " + " ".join(f"a{i}" for i in range(n)) + " }" for n in (2500, 20000)}
+    best = dict.fromkeys(texts, float("inf"))
+    for _ in range(5):
+        for n, text in texts.items():
+            start = time.perf_counter()
+            doc = parse_document(text)
+            best[n] = min(best[n], time.perf_counter() - start)
+    assert best[20000] < 24 * best[2500]
+    assert doc.spaces["S"].atoms == tuple(f"a{i}" for i in range(20000))
 
 
 def test_empty_space_parses():

@@ -14,6 +14,7 @@ from genlib import (
     weather_kernel,
 )
 from kernelalg import algebra as alg
+from kernelalg import sequential
 from kernelalg.errors import HorizonOutOfRange, KernelAlgError, NotMarkov, SpaceMismatch
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, Scalar
@@ -333,17 +334,18 @@ def test_history_size_checked_before_building():
         KernelChain(big, [alg.const_kernel(big, uniform(over))])
 
 
-def test_step_count_checked_before_building():
-    """On one atom the history never grows; the step count is bounded instead."""
+def test_step_count_checked_before_building(monkeypatch):
+    """On one atom the history never grows; the step count is bounded instead,
+    before any history product is built."""
     u = Base(FiniteSpace("U", ["a"]))
     k = alg.identity_kernel(u)
     assert len(markov_chain(dirac(u, "a"), k, MAX_CHAIN_STEPS)) == MAX_CHAIN_STEPS
-    for n in (MAX_CHAIN_STEPS + 1, 2000, 3_000_000):
-        start = time.perf_counter()
-        with pytest.raises(KernelAlgError) as exc:
-            markov_chain(dirac(u, "a"), k, n)
-        assert time.perf_counter() - start < 1.0
-        assert str(exc.value) == f"chain of {n} steps, above the limit of 64"
+    with monkeypatch.context() as patch:
+        patch.setattr(sequential, "Product", None)
+        for n in (MAX_CHAIN_STEPS + 1, 2000, 3_000_000):
+            with pytest.raises(KernelAlgError) as exc:
+                markov_chain(dirac(u, "a"), k, n)
+            assert str(exc.value) == f"chain of {n} steps, above the limit of 64"
     steps, history = [], u
     for _ in range(MAX_CHAIN_STEPS + 1):
         steps.append(alg.const_kernel(history, dirac(u, "a")))
