@@ -64,12 +64,10 @@ __all__ = [
 def deterministic(f: RandomVariable) -> Kernel:
     """The kernel sending each atom to the Dirac measure at its image.
 
-    Held as an index map (see Kernel), so composing with it gathers or
+    Held as f's index map (see Kernel), so composing with it gathers or
     scatters rows instead of multiplying by Dirac rows.
     """
-    index_of = f.codomain.index_of
-    index_map = tuple(index_of(f.table[a]) for a in f.domain.atoms)
-    return Kernel._from_map(f.domain, f.codomain, index_map)
+    return Kernel._from_map(f.domain, f.codomain, f.index_map)
 
 
 def identity_kernel(space: SpaceExpr) -> Kernel:
@@ -120,13 +118,13 @@ def assoc_inv_kernel(a: SpaceExpr, b: SpaceExpr, c: SpaceExpr) -> Kernel:
 
 
 def fst_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
-    dom = Product(left, right)
-    return RandomVariable(dom, left, {(a, b): a for (a, b) in dom.atoms})
+    index_map = tuple(i for i in range(left.size) for _ in range(right.size))
+    return RandomVariable._from_map(Product(left, right), left, index_map)
 
 
 def snd_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
-    dom = Product(left, right)
-    return RandomVariable(dom, right, {(a, b): b for (a, b) in dom.atoms})
+    index_map = tuple(range(right.size)) * left.size
+    return RandomVariable._from_map(Product(left, right), right, index_map)
 
 
 def prod_mk_right(kernel: Kernel, extra: SpaceExpr) -> Kernel:
@@ -307,17 +305,14 @@ def marginal_fst(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    nr = cod.right.size
-    index_map = tuple(i for i in range(cod.left.size) for _ in range(nr))
-    return compose(Kernel._from_map(cod, cod.left, index_map), kappa)
+    return compose(deterministic(fst_proj(cod.left, cod.right)), kappa)
 
 
 def marginal_snd(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    index_map = tuple(range(cod.right.size)) * cod.left.size
-    return compose(Kernel._from_map(cod, cod.right, index_map), kappa)
+    return compose(deterministic(snd_proj(cod.left, cod.right)), kappa)
 
 
 def marginals(kappa: Kernel):

@@ -12,6 +12,7 @@ Identities among finite values hold within TOLERANCE = 1e-9.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import (
 from .measures import Kernel, Measure
 from .scalar import _format_rational
 from .spaces import Product
-from .variables import RandomVariable, RealRV
+from .variables import RandomVariable, RealRV, pair_rv
 
 __all__ = [
     "TOLERANCE",
@@ -106,20 +107,17 @@ def cond_entropy(x: RandomVariable, y: RandomVariable, mu: Measure) -> float:
             f"maps on {x.domain} and {y.domain} do not live on {mu.space}"
         )
     mu.require_probability()
+    py = pushforward(mu, y)
+    nx = x.codomain.size
     direct = 0.0
-    for b in y.codomain.atoms:
-        fiber = y.preimage([b])
-        pb = mu.mass_of(fiber)
-        if pb.is_zero():
-            continue
-        for a in x.codomain.atoms:
-            joint = mu.mass_of([w for w in fiber if x.table[w] == a])
-            if joint.is_zero():
-                continue
-            p_cond = float(joint / pb)
+    # the joint law of (y, x), row-major: atom (b, a) has index b * |X| + a
+    for i, pab in enumerate(pushforward(mu, pair_rv(y, x)).weights):
+        if not pab.is_zero():
+            pb = py.weights[i // nx]
+            p_cond = float(pab / pb)
             direct -= float(pb) * p_cond * math.log(p_cond)
 
-    via_kernel = kernel_entropy(cond_distrib(x, y, mu), pushforward(mu, y))
+    via_kernel = kernel_entropy(cond_distrib(x, y, mu), py)
     if abs(direct - via_kernel) > TOLERANCE:
         raise KernelAlgError(
             "conditional entropy paths disagree: "
@@ -474,6 +472,18 @@ def certify_grid(
     if constant < 0:
         raise KernelAlgError("sub-Gaussian constant must be nonnegative")
     rows = _scope_rows(x, scope)
+    # Refused before any point is built: on [-T, T], c t^2 / 2 peaks at c T^2 / 2,
+    # and t v and its differences in _log_mgf stay within T (max(v, 0) - min(v, 0)).
+    values = [x.values[i] for row in rows for i in row.support()] or [0]
+    for name, value in (
+        ("c T^2 / 2", constant * grid_t * grid_t / 2),
+        ("T |v|", grid_t * (max(max(values), 0) - min(min(values), 0))),
+    ):
+        if value > sys.float_info.max:
+            raise KernelAlgError(
+                f"grid exponent {name} = {_format_rational(value)} is past the "
+                "float range; use a smaller constant or grid radius"
+            )
     # mgf(t) > bound * (1 + slack), compared in log space: either side
     # overflows a float once t*v or c t^2 / 2 passes ~709.
     log_slack = math.log1p(_GRID_SLACK)
@@ -617,7 +627,9 @@ def hoeffding_check(
                 nxt[key] = nxt.get(key, Fraction(0)) + p * q
         total = nxt
     tail = sum((p for s, p in total.items() if s >= t), Fraction(0))
-    bound = math.exp(float(-(t * t) / (2 * n * sigma_sq)))
+    # exp(-746) already rounds to 0.0, and float() of a larger exponent overflows
+    exponent = t * t / (2 * n * sigma_sq)
+    bound = 0.0 if exponent >= 746 else math.exp(float(-exponent))
     return HoeffdingReport(
         exact_tail=tail,
         bound=bound,

@@ -9,11 +9,10 @@ keeps a brute-force oracle over all rectangle pairs to guard that reduction.
 
 from __future__ import annotations
 
-from .algebra import const_kernel, prod_mk_right, pushforward
+from .algebra import const_kernel, measure_product, prod_mk_right, pushforward
 from .disintegration import cond_kernel_measure
 from .errors import SpaceMismatch
 from .measures import Kernel, Measure, dirac, uniform
-from .scalar import ZERO
 from .spaces import UNIT, UNIT_ATOM
 from .variables import PartitionSigma, RandomVariable, RealRV, pair_rv
 
@@ -82,26 +81,6 @@ def cond_exp(f: RealRV, mu: Measure, sigma: PartitionSigma) -> RealRV:
     return RealRV(mu.space, values)
 
 
-def _row_factorizes(row: Measure, x: RandomVariable, y: RandomVariable) -> bool:
-    """Singleton product identity for one kernel row, all value pairs."""
-    joint = {}
-    px = {a: ZERO for a in x.codomain.atoms}
-    py = {b: ZERO for b in y.codomain.atoms}
-    for atom, w in row.items():
-        a = x.table[atom]
-        b = y.table[atom]
-        px[a] = px[a] + w
-        py[b] = py[b] + w
-        if not w.is_zero():
-            joint[(a, b)] = joint.get((a, b), ZERO) + w
-    for a in x.codomain.atoms:
-        for b in y.codomain.atoms:
-            lhs = joint.get((a, b), ZERO)
-            if lhs != px[a] * py[b]:
-                return False
-    return True
-
-
 def kernel_indep_fun(
     x: RandomVariable, y: RandomVariable, kappa: Kernel, nu: Measure
 ) -> bool:
@@ -119,10 +98,12 @@ def kernel_indep_fun(
         raise SpaceMismatch(
             f"measure on {nu.space} does not match kernel domain {kappa.domain}"
         )
+    xy = pair_rv(x, y)
     for w, row in zip(nu.weights, kappa.rows):
         if w.is_zero():
             continue
-        if not _row_factorizes(row, x, y):
+        joint = pushforward(row, xy)
+        if joint != measure_product(pushforward(row, x), pushforward(row, y)):
             return False
     return True
 

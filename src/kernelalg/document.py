@@ -83,6 +83,12 @@ class Token:
         return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
 
 
+def _expected(what: str, tok: Token) -> KdSyntaxError:
+    """`expected <what>, got <token>` at the token, naming the end of input."""
+    got = tok.text or "end of input"
+    return KdSyntaxError(f"expected {what}, got {got!r}", tok.line, tok.col)
+
+
 class Tokenizer:
     """Shared tokenizer for .kd documents and the expression language."""
 
@@ -130,12 +136,7 @@ class Tokenizer:
     def expect(self, kind, text=None) -> Token:
         tok = self.peek()
         if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise KdSyntaxError(
-                f"expected {want!r}, got {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
+            raise _expected(repr(text if text is not None else kind), tok)
         return self.next()
 
     def at(self, kind, text=None) -> bool:
@@ -211,9 +212,7 @@ def parse_document(text: str) -> Document:
     while not tz.at("eof"):
         kw = tz.next()
         if kw.kind != "ident" or kw.text not in _KEYWORDS:
-            raise KdSyntaxError(
-                f"expected a declaration keyword, got {kw.text!r}", kw.line, kw.col
-            )
+            raise _expected("a declaration keyword", kw)
         name = _parse_name(tz)
         doc.declare(kw.text, name.text, _PARSERS[kw.text](tz, doc, name.text), name)
     return doc
@@ -222,9 +221,7 @@ def parse_document(text: str) -> Document:
 def _parse_name(tz: Tokenizer) -> Token:
     tok = tz.peek()
     if tok.kind != "ident" or tok.text in _KEYWORDS or tok.text == "unit":
-        raise KdSyntaxError(
-            f"expected a name, got {tok.text or 'end of input'!r}", tok.line, tok.col
-        )
+        raise _expected("a name", tok)
     return tz.next()
 
 
@@ -244,19 +241,13 @@ def _parse_space_expr(tz: Tokenizer, name, pair=Product):
         left = _parse_space_expr(tz, name, pair)
         x = tz.expect("ident")
         if x.text != "x":
-            raise KdSyntaxError(
-                f"expected 'x' between product factors, got {x.text!r}", x.line, x.col
-            )
+            raise _expected("'x' between product factors", x)
         right = _parse_space_expr(tz, name, pair)
         tz.expect(")")
         return pair(left, right)
     if tok.kind == "ident":
         return name(tz.next())
-    raise KdSyntaxError(
-        f"expected a space expression, got {tok.text or 'end of input'!r}",
-        tok.line,
-        tok.col,
-    )
+    raise _expected("a space expression", tok)
 
 
 def _parse_space(tz: Tokenizer, doc: Document) -> SpaceExpr:
@@ -278,9 +269,7 @@ def _parse_atom(tz: Tokenizer):
     if tok.kind in ("ident", "int"):
         tz.next()
         return tok.text
-    raise KdSyntaxError(
-        f"expected an atom, got {tok.text or 'end of input'!r}", tok.line, tok.col
-    )
+    raise _expected("an atom", tok)
 
 
 def _parse_checked_atom(tz: Tokenizer, space: SpaceExpr):
@@ -401,9 +390,7 @@ def _parse_space_decl(tz: Tokenizer, doc: Document, name):
     while not tz.at("}"):
         tok = tz.next()
         if tok.kind not in ("ident", "int"):
-            raise KdSyntaxError(
-                f"expected an atom label, got {tok.text!r}", tok.line, tok.col
-            )
+            raise _expected("an atom label", tok)
         if tok.text in labels:
             raise DuplicateName(f"atom label {tok.text!r} repeated", tok.line, tok.col)
         labels[tok.text] = None
@@ -466,9 +453,7 @@ def _parse_chain_decl(tz: Tokenizer, doc: Document, name):
     tz.expect("=")
     form = tz.expect("ident")
     if form.text not in ("markov", "steps"):
-        raise KdSyntaxError(
-            f"expected 'markov' or 'steps', got {form.text!r}", form.line, form.col
-        )
+        raise _expected("'markov' or 'steps'", form)
     tz.expect("(")
     if form.text == "markov":
         mname, initial = _parse_ref(tz, doc, "measure")
@@ -537,9 +522,10 @@ def serialize_document(doc: Document) -> str:
             lines.append("}")
             chunks.append("\n".join(lines))
         elif sort == "rv":
+            cod = obj.codomain.atoms
             body = ", ".join(
-                f"{format_atom(a)} -> {format_atom(obj.table[a])}"
-                for a in obj.domain.atoms
+                f"{format_atom(a)} -> {format_atom(cod[j])}"
+                for a, j in zip(obj.domain.atoms, obj.index_map)
             )
             chunks.append(f"rv {name} : {obj.domain} -> {obj.codomain} = {{ {body} }}")
         elif sort == "realrv":

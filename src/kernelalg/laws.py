@@ -22,6 +22,7 @@ from .disintegration import (
     singular_part,
     with_density,
 )
+from .errors import KernelAlgError
 from .spaces import Product
 
 __all__ = ["LawResult", "algebra_laws", "disintegration_laws", "bayes_laws", "run_laws"]
@@ -177,6 +178,8 @@ def bayes_laws(kernels: dict, measures: dict) -> list[LawResult]:
 
 def run_laws(which: str, kernels: dict, measures: dict) -> list[LawResult]:
     which = which.lower()
+    if which not in ("algebra", "disintegration", "bayes", "all"):
+        raise KernelAlgError(f"unknown law suite {which!r}")
     results = []
     if which in ("algebra", "all"):
         results.extend(algebra_laws(kernels, measures))
@@ -184,6 +187,4 @@ def run_laws(which: str, kernels: dict, measures: dict) -> list[LawResult]:
         results.extend(disintegration_laws(kernels))
     if which in ("bayes", "all"):
         results.extend(bayes_laws(kernels, measures))
-    if not results and which not in ("algebra", "disintegration", "bayes", "all"):
-        raise ValueError(f"unknown law suite {which!r}")
     return results

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import SpaceMismatch
 from .spaces import Product, SpaceExpr, format_atom
@@ -11,21 +12,25 @@ __all__ = ["RandomVariable", "RealRV", "PartitionSigma", "pair_rv"]
 
 
 class RandomVariable:
-    """A total map from domain atoms to codomain atoms."""
+    """A total map from domain atoms to codomain atoms, held as the index map
+    of a deterministic Kernel: one codomain atom index per domain atom."""
 
-    __slots__ = ("domain", "codomain", "table")
+    __slots__ = ("domain", "codomain", "index_map")
 
     def __init__(self, domain: SpaceExpr, codomain: SpaceExpr, table):
         table = dict(table)
+        index_map = []
         for atom in domain.atoms:
             if atom not in table:
                 raise SpaceMismatch(
                     f"map undefined on atom {format_atom(atom)} of {domain}"
                 )
-            if table[atom] not in codomain:
+            j = codomain._find(table[atom])
+            if j is None:
                 raise SpaceMismatch(
                     f"image {format_atom(table[atom])} not an atom of {codomain}"
                 )
+            index_map.append(j)
         if len(table) != domain.size:
             extra = [a for a in table if a not in domain]
             raise SpaceMismatch(
@@ -34,7 +39,15 @@ class RandomVariable:
             )
         self.domain = domain
         self.codomain = codomain
-        self.table = table
+        self.index_map = tuple(index_map)
+
+    @classmethod
+    def _from_map(cls, domain, codomain, index_map) -> "RandomVariable":
+        f = object.__new__(cls)
+        f.domain = domain
+        f.codomain = codomain
+        f.index_map = index_map
+        return f
 
     @classmethod
     def from_function(cls, domain, codomain, fn) -> "RandomVariable":
@@ -42,15 +55,21 @@ class RandomVariable:
 
     @classmethod
     def identity(cls, space: SpaceExpr) -> "RandomVariable":
-        return cls(space, space, {a: a for a in space.atoms})
+        return cls._from_map(space, space, tuple(range(space.size)))
+
+    @property
+    def table(self):
+        """Read-only atom -> atom dict, built on each read."""
+        dom, cod = self.domain.atoms, self.codomain.atoms
+        return MappingProxyType({a: cod[j] for a, j in zip(dom, self.index_map)})
 
     def __call__(self, atom):
-        return self.table[atom]
+        return self.codomain.atoms[self.index_map[self.domain.index_of(atom)]]
 
     def preimage(self, atoms) -> list:
         """Domain atoms mapped into the given set of codomain atoms."""
-        atoms = set(atoms)
-        return [a for a in self.domain.atoms if self.table[a] in atoms]
+        wanted = set(map(self.codomain._find, atoms))
+        return [a for a, j in zip(self.domain.atoms, self.index_map) if j in wanted]
 
     def __eq__(self, other):
         if not isinstance(other, RandomVariable):
@@ -58,7 +77,7 @@ class RandomVariable:
         return (
             self.domain == other.domain
             and self.codomain == other.codomain
-            and self.table == other.table
+            and self.index_map == other.index_map
         )
 
     def __repr__(self):
@@ -69,9 +88,10 @@ def pair_rv(x: RandomVariable, y: RandomVariable) -> RandomVariable:
     """The map omega -> (X(omega), Y(omega)) into the product codomain."""
     if x.domain != y.domain:
         raise SpaceMismatch(f"cannot pair maps on {x.domain} and {y.domain}")
-    cod = Product(x.codomain, y.codomain)
-    return RandomVariable(
-        x.domain, cod, {a: (x.table[a], y.table[a]) for a in x.domain.atoms}
+    n = y.codomain.size
+    index_map = tuple(i * n + j for i, j in zip(x.index_map, y.index_map))
+    return RandomVariable._from_map(
+        x.domain, Product(x.codomain, y.codomain), index_map
     )
 
 
@@ -81,7 +101,11 @@ class RealRV:
     __slots__ = ("domain", "values")
 
     def __init__(self, domain: SpaceExpr, values):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(values)
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"cannot interpret {v!r} as an exact value")
+        values = tuple(map(Fraction, values))
         if len(values) != domain.size:
             raise SpaceMismatch(
                 f"space {domain} has {domain.size} atoms, got {len(values)} values"
@@ -168,12 +192,10 @@ class PartitionSigma:
     @classmethod
     def generated_by(cls, rv: RandomVariable) -> "PartitionSigma":
         """Blocks are the nonempty fibers of the map, in codomain atom order."""
-        fibers = []
-        for value in rv.codomain.atoms:
-            fiber = [a for a in rv.domain.atoms if rv.table[a] == value]
-            if fiber:
-                fibers.append(fiber)
-        return cls(rv.domain, fibers)
+        fibers = {}
+        for atom, j in zip(rv.domain.atoms, rv.index_map):
+            fibers.setdefault(j, []).append(atom)
+        return cls(rv.domain, [fibers[j] for j in sorted(fibers)])
 
     def block_index(self, atom) -> int:
         try:

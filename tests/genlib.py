@@ -8,6 +8,7 @@ the library's own code paths (explicit sums, full rectangle enumeration).
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -202,10 +203,13 @@ def build_atom(space, leaf_iter):
     return next(leaf_iter)
 
 
+def table_rv(dom, cod, image) -> RandomVariable:
+    """The RandomVariable whose table is image(atom) on every eagerly listed atom."""
+    return RandomVariable(dom, cod, {a: image(a) for a in eager_atoms(dom)})
+
+
 def _table_map(dom, cod, image) -> Kernel:
-    """deterministic() of the RandomVariable whose table is image(atom)."""
-    atoms = eager_atoms(dom)
-    return deterministic(RandomVariable(dom, cod, {a: image(a) for a in atoms}))
+    return deterministic(table_rv(dom, cod, image))
 
 
 def table_swap(left, right) -> Kernel:
@@ -228,12 +232,21 @@ def table_assoc_inv(a, b, c) -> Kernel:
     )
 
 
+def table_fst_rv(left, right) -> RandomVariable:
+    """fst_proj as it was built: from the table (a, b) -> a over the product atoms."""
+    return table_rv(Product(left, right), left, lambda t: t[0])
+
+
+def table_snd_rv(left, right) -> RandomVariable:
+    return table_rv(Product(left, right), right, lambda t: t[1])
+
+
 def table_fst(left, right) -> Kernel:
-    return _table_map(Product(left, right), left, lambda t: t[0])
+    return deterministic(table_fst_rv(left, right))
 
 
 def table_snd(left, right) -> Kernel:
-    return _table_map(Product(left, right), right, lambda t: t[1])
+    return deterministic(table_snd_rv(left, right))
 
 
 def table_rebracket(src, dst) -> Kernel:
@@ -332,6 +345,77 @@ def rv_projection_consistency(chain, n, m) -> bool:
     if m == n:
         return big == small
     return rv_drop_last(big, small.codomain, n - m) == small
+
+
+# -- random variables through their atom tables ------------------------------------------
+#
+# RandomVariable holds a codomain index map; these are the earlier routes that
+# read its atom -> atom table.
+
+
+def table_pair_rv(x, y) -> RandomVariable:
+    tx, ty = x.table, y.table
+    cod = Product(x.codomain, y.codomain)
+    return RandomVariable(x.domain, cod, {a: (tx[a], ty[a]) for a in x.domain.atoms})
+
+
+def table_fibers(rv) -> list:
+    """generated_by's blocks: one scan of the domain per codomain atom."""
+    table = rv.table
+    fibers = []
+    for value in rv.codomain.atoms:
+        fiber = tuple(a for a in rv.domain.atoms if table[a] == value)
+        if fiber:
+            fibers.append(fiber)
+    return fibers
+
+
+def table_row_factorizes(row, x, y) -> bool:
+    """Singleton product identity for one row, summed in dicts keyed by values."""
+    tx, ty = x.table, y.table
+    joint = {}
+    px = {a: ZERO for a in x.codomain.atoms}
+    py = {b: ZERO for b in y.codomain.atoms}
+    for atom, w in row.items():
+        a = tx[atom]
+        b = ty[atom]
+        px[a] = px[a] + w
+        py[b] = py[b] + w
+        if not w.is_zero():
+            joint[(a, b)] = joint.get((a, b), ZERO) + w
+    for a in x.codomain.atoms:
+        for b in y.codomain.atoms:
+            lhs = joint.get((a, b), ZERO)
+            if lhs != px[a] * py[b]:
+                return False
+    return True
+
+
+def table_kernel_indep(x, y, kappa, nu) -> bool:
+    """kernel_indep_fun's verdict through table_row_factorizes."""
+    return all(
+        table_row_factorizes(row, x, y)
+        for w, row in zip(nu.weights, kappa.rows)
+        if not w.is_zero()
+    )
+
+
+def table_cond_entropy_direct(x, y, mu) -> float:
+    """cond_entropy's direct double sum over the fibers of y and the values of x."""
+    tx = x.table
+    direct = 0.0
+    for b in y.codomain.atoms:
+        fiber = y.preimage([b])
+        pb = mu.mass_of(fiber)
+        if pb.is_zero():
+            continue
+        for a in x.codomain.atoms:
+            joint = mu.mass_of([w for w in fiber if tx[w] == a])
+            if joint.is_zero():
+                continue
+            p_cond = float(joint / pb)
+            direct -= float(pb) * p_cond * math.log(p_cond)
+    return direct
 
 
 # -- the match-loop tokenizer ---------------------------------------------------------

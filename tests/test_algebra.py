@@ -13,9 +13,9 @@ from genlib import (
 )
 from kernelalg import algebra as alg
 from kernelalg.disintegration import measure_rn_deriv
-from kernelalg.errors import NotAProductCodomain, SpaceMismatch
+from kernelalg.errors import KernelAlgError, NotAProductCodomain, SpaceMismatch
 from kernelalg.exprlang import OPERATORS
-from kernelalg.laws import algebra_laws
+from kernelalg.laws import algebra_laws, run_laws
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
@@ -420,6 +420,21 @@ def test_structural_maps_match_atom_tables():
         assert alg.prod_mk_left(y, lift).rows == tuple(lift.row(b) for _, b in atoms)
 
 
+def test_projections_are_index_maps_that_never_list_product_atoms():
+    rng = random.Random(46)
+    for _ in range(60):
+        x, y = random_tree(rng, 3), random_tree(rng, 3)
+        k = genlib.random_finite_kernel(rng, fresh_space(rng, 3), Product(x, y))
+        fst, snd = alg.fst_proj(x, y), alg.snd_proj(x, y)
+        alg.marginal_fst(k), alg.marginal_snd(k)
+        for space in (fst.domain, snd.domain, k.codomain, x, y):
+            assert not isinstance(space, Product) or space._atoms is None
+        assert alg.deterministic(fst).index_map is fst.index_map
+        tables = genlib.table_fst_rv(x, y), genlib.table_snd_rv(x, y)
+        for got, table in zip((fst, snd), tables):
+            assert got == table and got.table == table.table
+
+
 # -- measures as kernels from unit, against the earlier direct loops -----------
 
 
@@ -462,3 +477,10 @@ def test_projections_match_the_random_variable_route():
         k = genlib.random_finite_kernel(rng, x, y, zero_frac=0.3)
         checked = [r for r in algebra_laws({"k": k}) if r.law == "fst.copy=id"]
         assert len(checked) == len({str(x), str(y)}) and all(r.ok for r in checked)
+
+
+def test_unknown_law_suite_is_a_kernelalg_error():
+    kernels = {"k": weather_kernel()}
+    with pytest.raises(KernelAlgError, match="unknown law suite 'algebras'"):
+        run_laws("algebras", kernels, {})
+    assert run_laws("Bayes", kernels, {}) == []

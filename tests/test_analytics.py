@@ -402,6 +402,14 @@ def test_grid_point_count_is_checked_before_building():
         analytics._grid_points(Fraction(10), Fraction(20, MAX_GRID_POINTS))
 
 
+def test_grid_exponents_past_the_float_range_are_refused():
+    # c T^2 / 2 = 5e219 fits a float; the mgf exponents reach 2T = 2e310
+    x, mu = rademacher()
+    big = Fraction(10**310)
+    with pytest.raises(KernelAlgError, match=rf"^grid exponent T \|v\| = 2{'0' * 310} "):
+        certify_grid(x, PlainMeasureScope(mu), Fraction(1, 10**400), big, big / 10)
+
+
 def test_certify_dispatch():
     x, mu = rademacher()
     assert certify_subgaussian(x, PlainMeasureScope(mu)).constant == 1

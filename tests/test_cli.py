@@ -225,6 +225,40 @@ def test_hoeffding_json_matches_contract(capsys):
     assert out.strip() == '{"exactTail":"11/64","bound":0.449328964117,"holds":true}'
 
 
+def test_hoeffding_bound_past_the_float_exponent_range(capsys):
+    # t^2 / (2 n sigma^2) = 5e318 does not convert to a float; exp of it is 0
+    args = ["hoeffding", str(DOCS / "rademacher.kd"), "--rv", "X", "--measure", "mu"]
+    code, out, _ = run(capsys, *args, "-n", "10", "-t", "1e160")
+    assert code == 0
+    assert out == "exact tail 0 <= bound 0: holds\n"
+    code, out, _ = run(capsys, *args, "-n", "10", "-t", "1e160", "--json")
+    assert code == 0
+    assert out == '{"exactTail":"0","bound":0,"holds":true}\n'
+
+
+@pytest.mark.parametrize(
+    "grid, exponent",
+    [
+        (["--c", "1" + "0" * 400], "5" + "0" * 401),
+        (["--c", "1", "--grid-T", "1" + "0" * 200, "--grid-step", "1" + "0" * 199],
+         "5" + "0" * 399),
+    ],
+    ids=["large-c", "large-T"],
+)
+def test_certify_grid_exponent_past_the_float_range_exit_2(capsys, grid, exponent):
+    code, out, err = run(
+        capsys,
+        "certify", str(DOCS / "rademacher.kd"),
+        "--rv", "X", "--measure", "mu", "--method", "grid", *grid,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: grid exponent c T^2 / 2 = {exponent} is past the float range; "
+        "use a smaller constant or grid radius\n"
+    )
+
+
 def test_hoeffding_not_certified_exit_1(capsys):
     code, out, err = run(
         capsys,

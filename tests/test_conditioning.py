@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import genlib
 from genlib import (
     fresh_space,
     random_probability,
@@ -10,6 +11,7 @@ from genlib import (
     rectangle_indep_oracle,
 )
 from kernelalg import algebra as alg
+from kernelalg.analytics import cond_entropy
 from kernelalg.conditioning import (
     cond_distrib,
     cond_exp,
@@ -369,3 +371,48 @@ def test_shape_mismatches():
         cond_exp_kernel(uniform(other), PartitionSigma.trivial(om))
     with pytest.raises(SpaceMismatch):
         kernel_indep_fun(x, y, alg.const_kernel(UNIT, uniform(other)), dirac(UNIT, "()"))
+
+
+# -- index maps against the atom-table routes ---------------------------------------
+
+
+def random_codomain(rng, dom):
+    """A bracketing of bases, unit and empty bases; nonempty when dom is."""
+    while True:
+        cod = genlib.random_bracketing(rng, genlib.random_leaves(rng, rng.randint(1, 3)))
+        if cod.size or not dom.size:
+            return cod
+
+
+def test_index_maps_match_their_atom_tables():
+    rng = random.Random(17)
+    verdicts = set()
+    for i in range(150):
+        om = genlib.random_bracketing(rng, genlib.random_leaves(rng, rng.randint(1, 3)))
+        x, y, z = (random_rv(rng, om, random_codomain(rng, om)) for _ in range(3))
+        pair = pair_rv(x, y)
+        reference = genlib.table_pair_rv(x, y)
+        assert pair == reference and pair.table == reference.table
+        for rv in (x, pair):
+            assert PartitionSigma.generated_by(rv).blocks == tuple(genlib.table_fibers(rv))
+        if not om.size:
+            continue
+        mu = random_probability(rng, om, zero_frac=0.4)
+        w = fresh_space(rng, 3)
+        kappa = genlib.random_markov_kernel(rng, w, om, zero_frac=0.4)
+        nu = genlib.random_measure(rng, w, zero_frac=0.3)
+        sigma = PartitionSigma.generated_by(z)
+        got = (
+            indep_fun(x, y, mu),
+            kernel_indep_fun(x, y, kappa, nu),
+            cond_indep_fun(x, y, sigma, mu),
+        )
+        assert got == (
+            genlib.table_row_factorizes(mu, x, y),
+            genlib.table_kernel_indep(x, y, kappa, nu),
+            genlib.table_kernel_indep(x, y, cond_exp_kernel(mu, sigma), mu),
+        )
+        verdicts.update(got)
+        direct = genlib.table_cond_entropy_direct(x, y, mu)
+        assert cond_entropy(x, y, mu).hex() == direct.hex()
+    assert verdicts == {True, False}

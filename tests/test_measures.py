@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -15,6 +16,7 @@ from kernelalg.errors import (
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, Scalar
 from kernelalg.spaces import Base, FiniteSpace
+from kernelalg.variables import RealRV
 
 
 def test_weather_kernel_is_markov():
@@ -54,6 +56,15 @@ def test_negative_weight_rejected():
         Measure(w, [-1, 2])
     with pytest.raises(NegativeScalar):
         DensityTable(w, [-1, 0])
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/3"])
+def test_floats_and_strings_are_not_exact_values(inexact):
+    w = weather_space()
+    for build in (Measure, DensityTable, RealRV):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            build(w, [inexact, 0])
+    assert RealRV(w, [-1, Fraction(1, 3)]).values == (Fraction(-1), Fraction(1, 3))
 
 
 def test_total_additivity_over_disjoint_split():
