@@ -4,8 +4,9 @@ This is the one float-valued layer of the package.  The contract throughout:
 every decision that can be made exactly is made exactly, in rational
 arithmetic, before anything is converted to float64.  In particular a
 divergence is infinite iff an exact support condition says so; +inf is never
-the artifact of a float log or division.  Finite results are float64 with
-natural logarithms, summed in fixed atom order so results are reproducible.
+the artifact of a float log or division, and no size of rational breaks one:
+every log and exp of an exact value goes through _log, _exp and _log_sum_exp.
+Finite results are float64 with natural logs, summed in fixed atom order.
 Identities among finite values hold within TOLERANCE = 1e-9.
 """
 
@@ -68,14 +69,44 @@ _GRID_SLACK = 1e-12
 MAX_GRID_POINTS = 100_000
 
 
+# -- the exact-to-float boundary --------------------------------------------------
+
+_LOG_FLOAT_MAX = 709.782712893384  # log(sys.float_info.max): exp of more is inf
+_FLOAT_FLOOR = -(10**308)  # float() of less overflows; exp of it is 0.0
+
+
+def _log(q) -> float:
+    """Natural log of a positive exact rational of any size: log(float(q)) when
+    q is safely a normal float (decided from bit lengths), else log n - log d."""
+    n, d = q.numerator, q.denominator
+    if -1021 <= n.bit_length() - d.bit_length() <= 1022:
+        return math.log(n / d)
+    return math.log(n) - math.log(d)
+
+
+def _exp(v) -> float:
+    """exp of an exact or float exponent: 0.0 below -746 and inf past the float
+    range, both decided on v itself before any conversion."""
+    if v < -746:
+        return 0.0
+    if v > _LOG_FLOAT_MAX:
+        return math.inf
+    return math.exp(v)
+
+
+def _log_sum_exp(terms) -> float:
+    """log sum exp(terms) of finite floats, the largest one factored out."""
+    top = max(terms)
+    return top + math.log(sum(math.exp(x - top) for x in terms))
+
+
 def entropy(mu: Measure) -> float:
     """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
     mu.require_probability()
     acc = 0.0
     for w in mu.weights:
         if not w.is_zero():
-            p = float(w)
-            acc -= p * math.log(p)
+            acc -= float(w) * _log(w)
     return acc
 
 
@@ -114,8 +145,8 @@ def cond_entropy(x: RandomVariable, y: RandomVariable, mu: Measure) -> float:
     for i, pab in enumerate(pushforward(mu, pair_rv(y, x)).weights):
         if not pab.is_zero():
             pb = py.weights[i // nx]
-            p_cond = float(pab / pb)
-            direct -= float(pb) * p_cond * math.log(p_cond)
+            p_cond = pab / pb
+            direct -= float(pb) * float(p_cond) * _log(p_cond)
 
     via_kernel = kernel_entropy(cond_distrib(x, y, mu), py)
     if abs(direct - via_kernel) > TOLERANCE:
@@ -127,21 +158,17 @@ def cond_entropy(x: RandomVariable, y: RandomVariable, mu: Measure) -> float:
 
 
 def kl_div(mu: Measure, nu: Measure) -> float:
-    """Kullback-Leibler divergence in nats; +inf iff mu is not dominated by nu.
-
-    Domination is decided exactly atom by atom before any float enters.
-    """
+    """KL divergence in nats; +inf iff mu is not dominated by nu, decided exactly."""
     if mu.space != nu.space:
         raise SpaceMismatch(f"measures on {mu.space} and {nu.space} do not compare")
     mu.require_probability()
     nu.require_probability()
-    for wm, wn in zip(mu.weights, nu.weights):
-        if wn.is_zero() and not wm.is_zero():
-            return math.inf
     acc = 0.0
     for wm, wn in zip(mu.weights, nu.weights):
         if not wm.is_zero():
-            acc += float(wm) * math.log(float(wm / wn))
+            if wn.is_zero():
+                return math.inf
+            acc += float(wm) * _log(wm / wn)
     return acc
 
 
@@ -274,8 +301,9 @@ def data_processing(
 def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     """Renyi divergence of order alpha in (0, 1), in nats.
 
-    Densities are taken exactly against mu + nu; the result is +inf iff the
-    supports are disjoint (decided exactly), and exactly 0.0 when mu == nu.
+    (alpha - 1)^-1 log sum mu^alpha nu^(1 - alpha) over the shared support; the
+    result is +inf iff that support is empty (decided exactly), and exactly 0.0
+    when mu == nu.  An order whose float64 is 1.0 is refused.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -286,60 +314,39 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     nu.require_probability()
     if mu == nu:
         return 0.0
-    shared = any(
-        not wm.is_zero() and not wn.is_zero()
+    a, b = float(alpha), float(1 - alpha)  # b exact: 1.0 - a drops digits near 1
+    if a == 1.0:
+        raise AlphaOutOfRange(f"alpha {alpha} rounds to 1 in float64")
+    terms = [
+        a * _log(wm) + b * _log(wn)
         for wm, wn in zip(mu.weights, nu.weights)
-    )
-    if not shared:
+        if not wm.is_zero() and not wn.is_zero()
+    ]
+    if not terms:
         return math.inf
-    a = float(alpha)
-    total = 0.0
-    for wm, wn in zip(mu.weights, nu.weights):
-        if wm.is_zero() or wn.is_zero():
-            continue
-        m = wm + wn
-        p = float(wm / m)
-        q = float(wn / m)
-        total += (p ** a) * (q ** (1.0 - a)) * float(m)
-    return math.log(total) / (a - 1.0)
+    return _log_sum_exp(terms) / -b
 
 
 def mgf(x: RealRV, mu: Measure, t) -> float:
     """Moment generating function of an observable at an exact argument t.
 
-    inf when the value exceeds the float range.
+    inf when the value exceeds the float range, 0.0 below it.
     """
     if mu.space != x.domain:
         raise SpaceMismatch(
             f"observable on {x.domain} does not match measure space {mu.space}"
         )
     mu.require_probability()
-    t = Fraction(t)
-    acc = 0.0
-    for w, v in zip(mu.weights, x.values):
-        if not w.is_zero():
-            acc += float(w) * _exp(float(t * v))
-    return acc
+    return _exp(_log_mgf(x, mu, Fraction(t)))
 
 
-def _log_mgf(x: RealRV, mu: Measure, t: Fraction) -> float:
-    """log mgf(t) for a probability measure on x's domain, finite past exp's range.
-
-    Log-sum-exp: the largest exponent t*v is factored out exactly, so every
-    remaining exp has a nonpositive argument.
-    """
+def _log_mgf(x: RealRV, mu: Measure, t: Fraction) -> Fraction:
+    """log mgf(t) on a probability measure, exact past exp's range: the largest
+    exponent t*v is factored out, and added back, exactly."""
     terms = [(w, t * v) for w, v in zip(mu.weights, x.values) if not w.is_zero()]
     top = max(e for _, e in terms)
-    scaled = sum(float(w) * math.exp(float(e - top)) for w, e in terms)
-    return float(top) + math.log(scaled)
-
-
-def _exp(value: float) -> float:
-    """math.exp, with inf where the result overflows a float."""
-    try:
-        return math.exp(value)
-    except OverflowError:
-        return math.inf
+    offsets = [_log(w) + float(max(e - top, _FLOAT_FLOOR)) for w, e in terms]
+    return top + Fraction(_log_sum_exp(offsets))
 
 
 # -- sub-Gaussian certification ---------------------------------------------------
@@ -490,8 +497,9 @@ def certify_grid(
     for t in _grid_points(grid_t, grid_step):
         log_bound = float(constant * t * t / 2)
         for row in rows:
-            if _log_mgf(x, row, t) > log_bound + log_slack:
-                raise GridViolation(t, mgf(x, row, t), _exp(log_bound))
+            log_mgf = _log_mgf(x, row, t)
+            if log_mgf > log_bound + log_slack:
+                raise GridViolation(t, _exp(log_mgf), _exp(log_bound))
     return SubgaussianCertificate(
         variable=x,
         constant=constant,
@@ -552,11 +560,9 @@ def subgaussian_add_comp_prod(
     if cert_x.variable.domain != kappa.codomain or cert_y.variable.domain != eta.codomain:
         raise ScopeMismatch("certificate variables do not live on the scope codomains")
 
-    pair_space = Product(kappa.codomain, eta.codomain)
-    xv, yv = cert_x.variable, cert_y.variable
     combined = RealRV(
-        pair_space,
-        [xv.value(a) + yv.value(b) for (a, b) in pair_space.atoms],
+        Product(kappa.codomain, eta.codomain),
+        [a + b for a in cert_x.variable.values for b in cert_y.variable.values],
     )
     scope = KernelScope(comp_prod(kappa, eta), nu)
     return certify_grid(
@@ -627,9 +633,7 @@ def hoeffding_check(
                 nxt[key] = nxt.get(key, Fraction(0)) + p * q
         total = nxt
     tail = sum((p for s, p in total.items() if s >= t), Fraction(0))
-    # exp(-746) already rounds to 0.0, and float() of a larger exponent overflows
-    exponent = t * t / (2 * n * sigma_sq)
-    bound = 0.0 if exponent >= 746 else math.exp(float(-exponent))
+    bound = _exp(-t * t / (2 * n * sigma_sq))
     return HoeffdingReport(
         exact_tail=tail,
         bound=bound,

@@ -241,9 +241,6 @@ def main(argv=None) -> int:
     except (NonzeroMean, NotCertified) as exc:
         print(f"not certified: {exc}", file=sys.stderr)
         return 1
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KernelAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,9 +49,8 @@ def _spaces_in_use(kernels: dict) -> dict:
     return spaces
 
 
-def algebra_laws(kernels: dict, measures: dict | None = None) -> list[LawResult]:
+def algebra_laws(kernels: dict) -> list[LawResult]:
     results = []
-    measures = measures or {}
 
     for label, space in _spaces_in_use(kernels).items():
         copy = alg.copy_kernel(space)
@@ -182,7 +181,7 @@ def run_laws(which: str, kernels: dict, measures: dict) -> list[LawResult]:
         raise KernelAlgError(f"unknown law suite {which!r}")
     results = []
     if which in ("algebra", "all"):
-        results.extend(algebra_laws(kernels, measures))
+        results.extend(algebra_laws(kernels))
     if which in ("disintegration", "all"):
         results.extend(disintegration_laws(kernels))
     if which in ("bayes", "all"):

@@ -468,3 +468,83 @@ def reference_tokens(text: str) -> list:
         pos = m.end()
     tokens.append(("eof", "", line, col))
     return tokens
+
+
+# -- the float analytics through float() of each weight ---------------------------
+#
+# The library takes every log and exp of an exact value through analytics._log,
+# _exp and one log-sum-exp; these are the earlier routes, which converted each
+# weight, ratio or exponent to float first.  Preconditions are the caller's.
+
+
+def reference_entropy(mu) -> float:
+    acc = 0.0
+    for w in mu.weights:
+        if not w.is_zero():
+            p = float(w)
+            acc -= p * math.log(p)
+    return acc
+
+
+def reference_kl_div(mu, nu) -> float:
+    for wm, wn in zip(mu.weights, nu.weights):
+        if wn.is_zero() and not wm.is_zero():
+            return math.inf
+    acc = 0.0
+    for wm, wn in zip(mu.weights, nu.weights):
+        if not wm.is_zero():
+            acc += float(wm) * math.log(float(wm / wn))
+    return acc
+
+
+def reference_renyi_div(alpha, mu, nu) -> float:
+    """Densities taken exactly against mu + nu, summed in linear space."""
+    if mu == nu:
+        return 0.0
+    shared = any(
+        not wm.is_zero() and not wn.is_zero()
+        for wm, wn in zip(mu.weights, nu.weights)
+    )
+    if not shared:
+        return math.inf
+    a = float(alpha)
+    total = 0.0
+    for wm, wn in zip(mu.weights, nu.weights):
+        if wm.is_zero() or wn.is_zero():
+            continue
+        m = wm + wn
+        p = float(wm / m)
+        q = float(wn / m)
+        total += (p ** a) * (q ** (1.0 - a)) * float(m)
+    return math.log(total) / (a - 1.0)
+
+
+def _reference_exp(value: float) -> float:
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def reference_mgf(x, mu, t) -> float:
+    """sum of float(w) * exp(float(t v)) over the positive weights."""
+    t = Fraction(t)
+    acc = 0.0
+    for w, v in zip(mu.weights, x.values):
+        if not w.is_zero():
+            acc += float(w) * _reference_exp(float(t * v))
+    return acc
+
+
+def reference_log_mgf(x, mu, t) -> float:
+    """Log-sum-exp over float(w), the largest exponent factored out exactly."""
+    terms = [(w, t * v) for w, v in zip(mu.weights, x.values) if not w.is_zero()]
+    top = max(e for _, e in terms)
+    scaled = sum(float(w) * math.exp(float(e - top)) for w, e in terms)
+    return float(top) + math.log(scaled)
+
+
+def reference_hoeffding_bound(n, t, sigma_sq) -> float:
+    """exp(-t^2 / (2 n sigma^2)), 0.0 from the exponent 746 on."""
+    exponent = Fraction(t) ** 2 / (2 * n * Fraction(sigma_sq))
+    return 0.0 if exponent >= 746 else math.exp(float(-exponent))

@@ -157,6 +157,7 @@ def test_comp_prod_marginals():
                         (t_atom, x_atom)
                     ).weights[zi]
                 assert snd.rows[ti].weights[zi] == acc
+        assert alg.marginals(cp) == (alg.marginal_fst(cp), snd)
 
 
 def test_comp_prod_two_routes_agree():

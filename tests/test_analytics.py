@@ -1,9 +1,14 @@
 import math
 import random
+import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import genlib
 from genlib import fresh_space, random_markov_kernel, random_probability, random_rv, weather_kernel
 from kernelalg import algebra as alg
 from kernelalg import analytics
@@ -38,7 +43,7 @@ from kernelalg.errors import (
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
-from kernelalg.variables import RandomVariable, RealRV
+from kernelalg.variables import RandomVariable, RealRV, pair_rv
 
 
 def bernoulli_space():
@@ -559,3 +564,353 @@ def test_hoeffding_grid_of_thresholds():
             report = hoeffding_check(x2, mu2, sigma_sq, n, t)
             assert report.holds, (n, t)
             t += Fraction(1, 2)
+
+
+# -- the exact-to-float boundary against the earlier float() routes ----------------------
+
+
+def _within(got, want, rel, floor=0.0):
+    if math.isinf(want):
+        return got == want
+    return abs(got - want) <= rel * abs(want) + floor
+
+
+def _random_mean_zero(rng, mu):
+    """Values with small denominators, shifted by their exact mean under mu."""
+    values = [Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in mu.weights]
+    mean = sum(w.as_fraction() * v for w, v in zip(mu.weights, values))
+    return RealRV(mu.space, [v - mean for v in values])
+
+
+def test_float_layer_matches_earlier_routes():
+    """Bit for bit where a log of float(q) is still taken, within 1e-12 where the
+    sum moved to log space (renyi_div, mgf), on zero weights, single atoms and
+    product spaces."""
+    rng = random.Random(20261018)
+    for round_ in range(300):
+        if round_ % 3 == 0:
+            space = Product(fresh_space(rng, 3), fresh_space(rng, 3))
+        else:
+            space = fresh_space(rng, 5)
+        mu = random_probability(rng, space, zero_frac=0.3)
+        nu = random_probability(rng, space, zero_frac=0.3)
+        assert entropy(mu).hex() == genlib.reference_entropy(mu).hex()
+        assert kl_div(mu, nu).hex() == genlib.reference_kl_div(mu, nu).hex()
+        for alpha in (Fraction(1, 2), Fraction(1, 1000), Fraction(999, 1000)):
+            # log sum = (alpha - 1) D: the rounding of either route, over 1 - alpha,
+            # is an absolute error, and it dominates where D is near 0
+            got = renyi_div(alpha, mu, nu)
+            want = genlib.reference_renyi_div(alpha, mu, nu)
+            assert _within(got, want, 1e-12, 1e-15 / float(1 - alpha))
+
+        dom = fresh_space(rng, 3)
+        k = random_markov_kernel(rng, dom, space, zero_frac=0.3)
+        e = random_markov_kernel(rng, dom, space, zero_frac=0.3)
+        base = random_probability(rng, dom, zero_frac=0.3)
+        ke = cl = 0.0
+        for w, krow, erow in zip(base.weights, k.rows, e.rows):
+            if not w.is_zero():
+                ke += float(w) * genlib.reference_entropy(krow)
+                cl += float(w) * genlib.reference_kl_div(krow, erow)
+        assert kernel_entropy(k, base).hex() == ke.hex()
+        assert cond_kl(k, e, base).hex() == cl.hex()
+        x = random_rv(rng, space, fresh_space(rng, 3))
+        y = random_rv(rng, space, fresh_space(rng, 3))
+        direct = genlib.table_cond_entropy_direct(x, y, mu)
+        assert cond_entropy(x, y, mu).hex() == direct.hex()
+
+        v = _random_mean_zero(rng, mu)
+        t = Fraction(rng.randint(-40, 40), rng.randint(1, 8))
+        assert _within(mgf(v, mu, t), genlib.reference_mgf(v, mu, t), 1e-12)
+        log_mgf = float(analytics._log_mgf(v, mu, t))
+        assert abs(log_mgf - genlib.reference_log_mgf(v, mu, t)) <= 1e-12 * (
+            1 + abs(log_mgf)
+        )
+        sigma_sq = certify_bounded_range(v, PlainMeasureScope(mu)).constant + 1
+        n = rng.randint(1, 4)
+        threshold = Fraction(rng.randint(1, 10**4), rng.randint(1, 8))
+        bound = hoeffding_check(v, mu, sigma_sq, n, threshold).bound
+        assert bound.hex() == genlib.reference_hoeffding_bound(n, threshold, sigma_sq).hex()
+
+
+def test_weights_below_the_float_range():
+    # 1/10^400 is a positive weight whose float is 0.0
+    s = Base(FiniteSpace("S", ["a", "b"]))
+    tiny = Fraction(1, 10**400)
+    mu = Measure(s, [Scalar(tiny), Scalar(1 - tiny)])
+    nu = dirac(s, "a")
+    x = RealRV(s, [1000, 0])
+    assert abs(kl_div(nu, mu) - 400 * math.log(10)) < 1e-9
+    assert abs(renyi_div(Fraction(1, 2), mu, nu) - 400 * math.log(10)) < 1e-9
+    assert entropy(mu) == 0.0  # 921 / 10^400 and 1/10^400 are far below a float
+    # 10^-400 e^1000 + 1 = e^(1000 - 400 log 10) + 1
+    assert abs(mgf(x, mu, 1) / 1.97007111402e34 - 1) < 1e-9
+    cert = certify_grid(x, PlainMeasureScope(mu), 10**6, Fraction(10), Fraction(1))
+    assert cert.verified
+
+
+def test_mgf_past_the_float_range_decides_inf_or_zero():
+    # t v = +-10^400 does not convert to a float
+    s = Base(FiniteSpace("S", ["a", "b"]))
+    x = RealRV(s, [1, 2])
+    mu = uniform(s)
+    assert mgf(x, mu, 10**400) == math.inf
+    assert mgf(x, mu, -(10**400)) == 0.0
+    assert mgf(x, mu, 800) == math.inf
+    assert mgf(x, mu, -800) == 0.0
+    assert analytics._LOG_FLOAT_MAX == math.log(sys.float_info.max)
+    assert math.isfinite(math.exp(analytics._LOG_FLOAT_MAX))
+
+
+def test_order_rounding_to_one_is_refused():
+    mu = ber(Fraction(1, 2))
+    nu = ber(Fraction(1, 4))
+    near = 1 - Fraction(1, 10**400)
+    assert renyi_div(near, mu, mu) == 0.0  # mu == nu is decided first
+    with pytest.raises(AlphaOutOfRange, match=f"^alpha {near} rounds to 1 in float64$"):
+        renyi_div(near, mu, nu)
+    assert math.isfinite(renyi_div(1 - Fraction(1, 10**15), mu, nu))
+
+
+def test_add_comp_prod_sums_values_without_listing_product_atoms():
+    x, kappa, nu, y, eta = chained_mean_zero_fixture()
+    cx = certify_bounded_range(x, KernelScope(kappa, nu))
+    cy = certify_bounded_range(y, KernelScope(eta, alg.comp_prod_measure(nu, kappa)))
+    combined = subgaussian_add_comp_prod(cx, cy)
+    assert combined.variable.domain._atoms is None
+    # the certificate as built from the listed product atoms
+    pair_space = Product(kappa.codomain, eta.codomain)
+    listed = RealRV(pair_space, [x.value(a) + y.value(b) for (a, b) in pair_space.atoms])
+    expected = certify_grid(
+        listed,
+        KernelScope(alg.comp_prod(kappa, eta), nu),
+        cx.constant + cy.constant,
+        Fraction(10),
+        Fraction(1, 100),
+    )
+    assert combined == expected
+
+
+# -- fuzz against a 60-digit decimal oracle -------------------------------------------
+#
+# Weights are ratios of integers up to 10^500, renormalized, so a weight or a
+# density ratio can lie far outside the float range; values and t reach 10^6,
+# so t v can overflow exp; orders come near 0, near 1 and in between.  Every
+# call returns a float that is not nan, or raises a KernelAlgError.
+
+BIG = 10**500
+_raw_weight = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(0, BIG), st.integers(1, BIG))
+)
+_value = st.one_of(
+    st.fractions(min_value=-10, max_value=10, max_denominator=100),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=100),
+)
+_order = st.one_of(
+    st.fractions(0, 1, max_denominator=10**6).filter(lambda a: 0 < a < 1),
+    st.integers(1, 600).map(lambda k: Fraction(1, 10**k)),
+    st.integers(1, 600).map(lambda k: 1 - Fraction(1, 10**k)),
+)
+
+
+@st.composite
+def _cases(draw):
+    size = draw(st.integers(1, 3))
+    space = Base(FiniteSpace("S", [f"s{i}" for i in range(size)]))
+
+    def measure():
+        raw = draw(st.lists(_raw_weight, min_size=size, max_size=size).filter(any))
+        total = sum(raw)
+        return Measure(space, [Scalar(w / total) for w in raw])
+
+    def rv():
+        images = draw(st.lists(st.sampled_from(space.atoms), min_size=size, max_size=size))
+        return RandomVariable(space, space, dict(zip(space.atoms, images)))
+
+    return dict(
+        mu=measure(),
+        nu=measure(),
+        values=draw(st.lists(_value, min_size=size, max_size=size)),
+        t=draw(_value),
+        alpha=draw(_order),
+        x=rv(),
+        y=rv(),
+        n=draw(st.integers(1, 3)),
+        threshold=draw(st.fractions(min_value=0, max_value=10**3, max_denominator=100)),
+    )
+
+
+def _dec(q) -> Decimal:
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def _oracle_entropy(weights) -> Decimal:
+    return -sum((_dec(w) * _dec(w).ln() for w in weights if not w.is_zero()), Decimal(0))
+
+
+def _oracle_kl(mu, nu):
+    acc = Decimal(0)
+    for wm, wn in zip(mu.weights, nu.weights):
+        if not wm.is_zero():
+            if wn.is_zero():
+                return math.inf
+            acc += _dec(wm) * (_dec(wm).ln() - _dec(wn).ln())
+    return acc
+
+
+def _oracle_log_sum_exp(terms) -> Decimal:
+    top = max(terms)
+    return top + sum(((x - top).exp() for x in terms), Decimal(0)).ln()
+
+
+def _oracle_log_mgf(values, mu, t) -> Decimal:
+    return _oracle_log_sum_exp(
+        [_dec(w).ln() + _dec(t * v) for w, v in zip(mu.weights, values) if not w.is_zero()]
+    )
+
+
+def _close(got: float, want, slack=Decimal(0)):
+    """got within 1e-9 relative plus 1e-12 absolute of want, plus any slack."""
+    assert not math.isnan(got)
+    if want == math.inf or got == math.inf:
+        assert got == want
+        return
+    assert abs(Decimal(got) - want) <= Decimal(1e-9) * abs(want) + Decimal(1e-12) + slack, (
+        got,
+        want,
+    )
+
+
+def _close_exp(got: float, log_want: Decimal):
+    """got = exp(log_want), with inf past the float range and 0.0 below it."""
+    if got == math.inf:
+        assert log_want > Decimal("709.7827")
+    elif got == 0.0:
+        assert log_want < Decimal(-744)
+    else:
+        _close(got, log_want.exp())
+
+
+def _attempt(fn, *args):
+    """fn(*args), or None for a KernelAlgError; any other exception escapes."""
+    try:
+        return fn(*args)
+    except KernelAlgError:
+        return None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cases())
+def test_float_layer_fuzz_against_decimal_oracle(case):
+    with localcontext() as ctx:
+        ctx.prec = 60
+        _fuzz_case(**case)
+
+
+def _fuzz_case(mu, nu, values, t, alpha, x, y, n, threshold):
+    space = mu.space
+    k = Kernel(space, space, [(mu, nu)[i % 2] for i in range(space.size)])
+    e = Kernel(space, space, [(nu, mu)[i % 2] for i in range(space.size)])
+
+    _close(entropy(mu), _oracle_entropy(mu.weights))
+    _close(
+        kernel_entropy(k, mu),
+        sum(_dec(w) * _oracle_entropy(r.weights) for w, r in zip(mu.weights, k.rows)),
+    )
+    h = _attempt(cond_entropy, x, y, mu)
+    if h is not None:
+        joint = alg.pushforward(mu, pair_rv(y, x)).weights
+        py = alg.pushforward(mu, y).weights
+        nx = space.size
+        want = -sum(
+            (
+                _dec(p) * (_dec(p).ln() - _dec(py[i // nx]).ln())
+                for i, p in enumerate(joint)
+                if not p.is_zero()
+            ),
+            Decimal(0),
+        )
+        _close(h, want)
+    for a, b in ((mu, nu), (nu, mu)):
+        _close(kl_div(a, b), _oracle_kl(a, b))
+    rows = [(w, kr, er) for w, kr, er in zip(mu.weights, k.rows, e.rows) if not w.is_zero()]
+    rows_kl = [_oracle_kl(kr, er) for _, kr, er in rows]
+    want = math.inf if math.inf in rows_kl else sum(
+        (_dec(w) * kl for (w, _, _), kl in zip(rows, rows_kl)), Decimal(0)
+    )
+    _close(cond_kl(k, e, mu), want)
+    report = kl_chain_rule(mu, nu, k, e)
+    assert not math.isnan(report.joint + report.marginal + report.conditional)
+    assert report.additive_form_holds and report.comp_prod_form_holds
+    for kind in ("kl", "renyi"):
+        dp = _attempt(data_processing, kind, k, mu, nu, alpha)
+        if dp is not None:
+            assert not math.isnan(dp.processed + dp.original + dp.joint)
+
+    d = _attempt(renyi_div, alpha, mu, nu)
+    if d is None:
+        assert float(alpha) == 1.0 and mu != nu
+    else:
+        _check_renyi(d, alpha, mu, nu)
+
+    v = RealRV(space, values)
+    _close_exp(mgf(v, mu, t), _oracle_log_mgf(values, mu, t))
+    _check_certificates(v, mu, n, threshold)
+
+
+def _check_renyi(got, alpha, mu, nu):
+    """Within the oracle's tolerance plus the conditioning of the formula: log of
+    the sum is (alpha - 1) D, so its float rounding error, a few ulps of the
+    largest log weight, is divided by 1 - alpha."""
+    if mu == nu:
+        assert got == 0.0
+        return
+    a = _dec(alpha)
+    shared = [
+        (wm, wn)
+        for wm, wn in zip(mu.weights, nu.weights)
+        if not wm.is_zero() and not wn.is_zero()
+    ]
+    if not shared:
+        assert got == math.inf
+        return
+    logs = [(_dec(wm).ln(), _dec(wn).ln()) for wm, wn in shared]
+    want = _oracle_log_sum_exp([a * lm + (1 - a) * ln for lm, ln in logs]) / (a - 1)
+    largest = max(max(abs(lm), abs(ln)) for lm, ln in logs)
+    _close(got, want, slack=16 * Decimal(2) ** -53 * (largest + 1) / (1 - a))
+
+
+def _check_certificates(v, mu, n, threshold):
+    scope = PlainMeasureScope(mu)
+    assert _attempt(certify_subgaussian, v, scope) is None or v.mean(mu) == 0
+    centered = RealRV(mu.space, [value - v.mean(mu) for value in v.values])
+    cert = certify_subgaussian(centered, scope)
+    grid_t, grid_step = Fraction(2), Fraction(1, 2)
+    for c in (cert.constant, cert.constant / 4):
+        try:
+            grid = certify_subgaussian(centered, scope, "grid", c, grid_t, grid_step)
+        except GridViolation as exc:
+            assert not math.isnan(exc.mgf_value) and not math.isnan(exc.bound)
+            log_mgf = _oracle_log_mgf(centered.values, mu, exc.t)
+            assert log_mgf > _dec(c * exc.t**2 / 2) - Decimal(1e-9)
+        else:
+            assert grid.verified
+            for point in analytics._grid_points(grid_t, grid_step):
+                log_mgf = _oracle_log_mgf(centered.values, mu, point)
+                assert log_mgf <= _dec(c * point**2 / 2) + Decimal(1e-9)
+
+    unit_scope = dirac(UNIT, "()")
+    kappa = alg.const_kernel(UNIT, mu)
+    eta = alg.const_kernel(Product(UNIT, mu.space), mu)
+    cx = certify_bounded_range(centered, KernelScope(kappa, unit_scope))
+    cy = certify_bounded_range(
+        centered, KernelScope(eta, alg.comp_prod_measure(unit_scope, kappa))
+    )
+    summed = subgaussian_add_comp_prod(cx, cy, grid_t, grid_step)
+    assert summed.verified and summed.constant == 2 * cert.constant
+
+    sigma_sq = cert.constant or Fraction(1)
+    hoeffding = _attempt(hoeffding_check, centered, mu, sigma_sq, n, threshold)
+    if hoeffding is not None:
+        _close_exp(hoeffding.bound, -_dec(threshold**2 / (2 * n * sigma_sq)))
+        assert hoeffding.holds == (hoeffding.exact_tail <= Fraction(hoeffding.bound))

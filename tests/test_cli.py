@@ -259,6 +259,41 @@ def test_certify_grid_exponent_past_the_float_range_exit_2(capsys, grid, exponen
     )
 
 
+TINY_WEIGHT = (
+    "space S { a b }\n"
+    f"measure mu on S = {{ a: 1/1{'0' * 400}, b: {'9' * 400}/1{'0' * 400} }}\n"
+    "measure nu on S = { a: 1, b: 0 }\n"
+    "realrv X on S = { a: 1000, b: 0 }\n"
+)
+
+
+def test_weights_below_the_float_range(capsys, tmp_path):
+    # 1/10^400 is a positive weight whose float is 0.0
+    doc = tmp_path / "tiny.kd"
+    doc.write_text(TINY_WEIGHT)
+    for expr in ("kl(nu, mu)", "renyi(1/2, mu, nu)"):  # both 400 log 10
+        code, out, err = run(capsys, "eval", str(doc), "--expr", expr)
+        assert (code, out, err) == (0, "921.034037198\n", "")
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "entropy(mu)")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run(
+        capsys,
+        "certify", str(doc), "--rv", "X", "--measure", "mu", "--method", "grid",
+        "--c", "1000000", "--grid-T", "10", "--grid-step", "1",
+    )
+    assert (code, err) == (0, "")
+    assert out == "certified: c = 1000000 via gridCheck (plainMeasure)\n"
+
+
+def test_renyi_order_rounding_to_one_exit_2(capsys):
+    order = f"{'9' * 400}/1{'0' * 400}"
+    code, out, err = run(
+        capsys, "eval", str(DOCS / "weather.kd"), "--expr", f"renyi({order}, mu, nu)"
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: alpha {order} rounds to 1 in float64\n"
+
+
 def test_hoeffding_not_certified_exit_1(capsys):
     code, out, err = run(
         capsys,

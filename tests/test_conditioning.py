@@ -128,6 +128,14 @@ def test_cond_exp_kernel_two_blocks():
     assert k.row("3") == k.row("4")
 
 
+def test_partition_block_of():
+    om = Base(FiniteSpace("Om", ["1", "2", "3", "4"]))
+    sigma = PartitionSigma(om, [("1", "2"), ("3", "4")])
+    assert [sigma.block_of(a) for a in om.atoms] == [("1", "2")] * 2 + [("3", "4")] * 2
+    with pytest.raises(SpaceMismatch, match="atom 5 not in partitioned space Om"):
+        sigma.block_of("5")
+
+
 def test_cond_exp_block_averages():
     om = Base(FiniteSpace("Om", ["1", "2", "3", "4"]))
     sigma = PartitionSigma(om, [("1", "2"), ("3", "4")])

@@ -6,10 +6,12 @@ from genlib import fresh_space, random_finite_kernel, random_markov_kernel, subs
 from kernelalg import algebra as alg
 from kernelalg.disintegration import (
     DensityTable,
+    RNDecomposition,
     absolutely_continuous,
     cond_kernel,
     cond_kernel_measure,
     is_cond_kernel,
+    rn_decomposition,
     rn_deriv,
     singular_part,
     with_density,
@@ -247,6 +249,22 @@ def test_rn_reconstruction_randomized():
         assert absolutely_continuous(kappa, eta) == all(
             w.is_zero() for row in singular.rows for w in row.weights
         )
+
+
+def test_rn_decomposition_pairs_density_and_singular_part():
+    rng = random.Random(8)
+    for _ in range(20):
+        x, y = fresh_space(rng, 3), fresh_space(rng, 3)
+        kappa = random_finite_kernel(rng, x, y, zero_frac=0.3)
+        eta = random_finite_kernel(rng, x, y, zero_frac=0.3)
+        decomposition = rn_decomposition(kappa, eta)
+        assert isinstance(decomposition, RNDecomposition)
+        assert decomposition.density == rn_deriv(kappa, eta)
+        assert decomposition.singular == singular_part(kappa, eta)
+        rebuilt = alg.add_kernels(
+            with_density(eta, decomposition.density), decomposition.singular
+        )
+        assert rebuilt == kappa
 
 
 def test_dominated_case_integral_identity():
