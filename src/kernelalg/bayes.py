@@ -77,11 +77,9 @@ def bayes_check(kappa: Kernel, mu: Measure) -> BayesReport:
             if lhs != rhs:
                 report.failures.append((y, x))
                 report.holds = False
-    for xi in range(mu.space.size):
-        if mu.weights[xi].is_zero():
-            continue
-        row = kappa.rows[xi]
-        for w, ev in zip(row.weights, evidence.weights):
-            if ev.is_zero() and not w.is_zero():
-                report.dominated = False
+    report.dominated = not any(
+        ev.is_zero() and not w.is_zero()
+        for _, row in kappa.support_rows(mu)
+        for w, ev in zip(row.weights, evidence.weights)
+    )
     return report

@@ -94,14 +94,8 @@ def kernel_indep_fun(
             f"maps on {x.domain} and {y.domain} do not match kernel codomain "
             f"{kappa.codomain}"
         )
-    if nu.space != kappa.domain:
-        raise SpaceMismatch(
-            f"measure on {nu.space} does not match kernel domain {kappa.domain}"
-        )
     xy = pair_rv(x, y)
-    for w, row in zip(nu.weights, kappa.rows):
-        if w.is_zero():
-            continue
+    for _, row in kappa.support_rows(nu):
         joint = pushforward(row, xy)
         if joint != measure_product(pushforward(row, x), pushforward(row, y)):
             return False
@@ -149,11 +143,10 @@ def cond_indep_iff_cond_distrib(
     given_zy = cond_distrib(x, zy, mu)
     lifted = prod_mk_right(cond_distrib(x, z, mu), y.codomain)
     joint_mass = pushforward(mu, zy)
-    rhs = True
-    for w, row_a, row_b in zip(joint_mass.weights, given_zy.rows, lifted.rows):
-        if w.is_zero():
-            continue
-        if row_a.weights != row_b.weights:
-            rhs = False
-            break
+    rhs = all(
+        row_a.weights == row_b.weights
+        for (_, row_a), (_, row_b) in zip(
+            given_zy.support_rows(joint_mass), lifted.support_rows(joint_mass)
+        )
+    )
     return lhs, rhs

@@ -72,10 +72,11 @@ def algebra_laws(kernels: dict) -> list[LawResult]:
             )
 
     names = sorted(kernels)
+    comps = {}  # (a, b) -> b.a, for every composable pair
     for a, b in iter_product(names, names):
         ka, kb = kernels[a], kernels[b]
         if ka.codomain == kb.domain:
-            comp = alg.compose(kb, ka)
+            comp = comps[a, b] = alg.compose(kb, ka)
             if ka.is_markov() and kb.is_markov():
                 results.append(
                     LawResult("markov-stability", f"{b}.{a}", comp.is_markov())
@@ -107,10 +108,9 @@ def algebra_laws(kernels: dict) -> list[LawResult]:
             )
 
     for a, b, c in iter_product(names, names, names):
-        ka, kb, kc = kernels[a], kernels[b], kernels[c]
-        if ka.codomain == kb.domain and kb.codomain == kc.domain:
-            left = alg.compose(kc, alg.compose(kb, ka))
-            right = alg.compose(alg.compose(kc, kb), ka)
+        if (a, b) in comps and (b, c) in comps:
+            left = alg.compose(kernels[c], comps[a, b])
+            right = alg.compose(comps[b, c], kernels[a])
             results.append(LawResult("associativity", f"{c}.{b}.{a}", left == right))
 
     return results

@@ -221,6 +221,17 @@ class Kernel:
     def weight(self, atom, out_atom) -> Scalar:
         return self.rows[self.domain.index_of(atom)].weight(out_atom)
 
+    def support_rows(self, mu: Measure):
+        """(weight, row) at every domain atom of positive mu-mass, in atom order.
+
+        Every mu-almost-everywhere statement about the rows ranges over this.
+        """
+        if mu.space != self.domain:
+            raise SpaceMismatch(
+                f"measure on {mu.space} does not match kernel domain {self.domain}"
+            )
+        return [(w, row) for w, row in zip(mu.weights, self.rows) if not w.is_zero()]
+
     def is_markov(self) -> bool:
         if self.index_map is not None:
             return True

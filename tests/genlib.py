@@ -12,10 +12,12 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import product as iter_product
 
 from kernelalg.algebra import compose, copy_kernel, deterministic, fst_proj, pushforward
 from kernelalg.document import MAX_NESTING
 from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
+from kernelalg.laws import LawResult
 from kernelalg.measures import Kernel, Measure
 from kernelalg.scalar import ZERO, Scalar
 from kernelalg.sequential import SplitMix64, _RowSampler, traj_kernel
@@ -548,3 +550,17 @@ def reference_hoeffding_bound(n, t, sigma_sq) -> float:
     """exp(-t^2 / (2 n sigma^2)), 0.0 from the exponent 746 on."""
     exponent = Fraction(t) ** 2 / (2 * n * Fraction(sigma_sq))
     return 0.0 if exponent >= 746 else math.exp(float(-exponent))
+
+
+def reference_associativity(kernels) -> list:
+    """The associativity results of laws.algebra_laws, each triple recomputing
+    both inner composites."""
+    names = sorted(kernels)
+    results = []
+    for a, b, c in iter_product(names, names, names):
+        ka, kb, kc = kernels[a], kernels[b], kernels[c]
+        if ka.codomain == kb.domain and kb.codomain == kc.domain:
+            left = compose(kc, compose(kb, ka))
+            right = compose(compose(kc, kb), ka)
+            results.append(LawResult("associativity", f"{c}.{b}.{a}", left == right))
+    return results

@@ -191,6 +191,23 @@ def test_associativity_random_triples():
         )
 
 
+def test_law_catalog_associativity_matches_recomputed_composites():
+    rng = random.Random(15)
+    checked = 0
+    for _ in range(40):
+        spaces = [fresh_space(rng, 3) for _ in range(2)]
+        kernels = {
+            f"k{i}": genlib.random_finite_kernel(
+                rng, rng.choice(spaces), rng.choice(spaces), zero_frac=0.3
+            )
+            for i in range(rng.randint(1, 4))
+        }
+        got = [r.line() for r in algebra_laws(kernels) if r.law == "associativity"]
+        assert got == [r.line() for r in genlib.reference_associativity(kernels)]
+        checked += len(got)
+    assert checked > 100
+
+
 def test_comp_prod_associativity_with_associators():
     rng = random.Random(6)
     for _ in range(15):

@@ -11,7 +11,7 @@ from genlib import (
     rectangle_indep_oracle,
 )
 from kernelalg import algebra as alg
-from kernelalg.analytics import cond_entropy
+from kernelalg.analytics import TOLERANCE, cond_entropy, kernel_entropy
 from kernelalg.conditioning import (
     cond_distrib,
     cond_exp,
@@ -94,6 +94,17 @@ def test_cond_distrib_disintegrates_the_joint():
             alg.pushforward(mu, x), cond_distrib(y, x, mu)
         )
         assert rebuilt == joint
+
+
+def test_cond_entropy_equals_kernel_entropy_of_cond_distrib():
+    rng = random.Random(24)
+    for _ in range(200):
+        om = fresh_space(rng, 6)
+        x = random_rv(rng, om, fresh_space(rng, 4))
+        y = random_rv(rng, om, fresh_space(rng, 4))
+        mu = random_probability(rng, om, max_den=48, zero_frac=0.3)
+        via_kernel = kernel_entropy(cond_distrib(x, y, mu), alg.pushforward(mu, y))
+        assert abs(cond_entropy(x, y, mu) - via_kernel) <= TOLERANCE
 
 
 # -- conditional expectation ----------------------------------------------------

@@ -1,9 +1,15 @@
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from genlib import random_measure, weather_kernel, weather_space
+from kernelalg import algebra as alg
+from kernelalg.analytics import KernelScope, certify_bounded_range, cond_kl
+from kernelalg.bayes import bayes_check
+from kernelalg.conditioning import kernel_indep_fun
 from kernelalg.disintegration import DensityTable
 from kernelalg.errors import (
     DimensionMismatch,
@@ -12,11 +18,12 @@ from kernelalg.errors import (
     NoMarkovIntoEmpty,
     NotAProbabilityMeasure,
     NotMarkov,
+    SpaceMismatch,
 )
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
-from kernelalg.scalar import ONE, Scalar
-from kernelalg.spaces import Base, FiniteSpace
-from kernelalg.variables import RealRV
+from kernelalg.scalar import ONE, ZERO, Scalar
+from kernelalg.spaces import Base, FiniteSpace, Product
+from kernelalg.variables import RandomVariable, RealRV
 
 
 def test_weather_kernel_is_markov():
@@ -104,6 +111,52 @@ def test_require_markov_and_probability_messages():
         Kernel(w, w, [zero_measure(w), uniform(w)]).require_markov()
     with pytest.raises(NotAProbabilityMeasure):
         zero_measure(w).require_probability()
+
+
+def test_support_rows_are_the_positive_mass_rows_in_atom_order():
+    s = Base(FiniteSpace("S", ["a", "b", "c"]))
+    w = weather_space()
+    k = Kernel(s, w, [dirac(w, "good"), uniform(w), dirac(w, "bad")])
+    mu = Measure(s, [Scalar(1, 3), ZERO, Scalar(2, 3)])
+    assert k.support_rows(mu) == [(Scalar(1, 3), k.rows[0]), (Scalar(2, 3), k.rows[2])]
+    # a lift repeats its row objects, and support_rows hands out those very objects
+    lifted = alg.prod_mk_left(w, k)
+    nu = Measure(lifted.domain, [ONE, ZERO, ONE, ONE, ONE, ZERO])
+    got = [id(row) for _, row in lifted.support_rows(nu)]
+    assert got == [id(k.rows[i]) for i in (0, 2, 0, 1)]
+    message = f"measure on {w} does not match kernel domain {s}"
+    with pytest.raises(SpaceMismatch, match=f"^{re.escape(message)}$"):
+        k.support_rows(uniform(w))
+    # a kernel scope reports its mismatch in the same words
+    with pytest.raises(SpaceMismatch, match=f"^{re.escape(message)}$"):
+        KernelScope(k, uniform(w)).rows()
+
+
+def test_almost_everywhere_statements_ignore_rows_at_null_atoms():
+    # mu is the Dirac at a; each kernel's row at b would change its caller's answer
+    s = Base(FiniteSpace("S", ["a", "b"]))
+    w = weather_space()
+    mu = dirac(s, "a")
+    # cond_kl: the rows at b are mutually singular
+    k = Kernel(s, w, [uniform(w), dirac(w, "good")])
+    e = Kernel(s, w, [uniform(w), dirac(w, "bad")])
+    assert cond_kl(k, e, mu) == 0.0
+    assert math.isinf(cond_kl(k, e, uniform(s)))
+    # kernel_indep_fun: the row at b correlates the two coordinates
+    sq = Product(w, w)
+    fst = RandomVariable.from_function(sq, w, lambda pair: pair[0])
+    snd = RandomVariable.from_function(sq, w, lambda pair: pair[1])
+    diagonal = Measure(sq, [Scalar(1, 2), ZERO, ZERO, Scalar(1, 2)])
+    joint = Kernel(s, sq, [uniform(sq), diagonal])
+    assert kernel_indep_fun(fst, snd, joint, mu)
+    assert not kernel_indep_fun(fst, snd, joint, uniform(s))
+    # bayes_check: the row at b charges "bad", which has no evidence under mu
+    report = bayes_check(Kernel(s, w, [dirac(w, "good"), dirac(w, "bad")]), mu)
+    assert report.holds and report.dominated
+    # certify_bounded_range: the row at b has mean 1
+    x = RealRV(w, [1, -1])
+    cert = certify_bounded_range(x, KernelScope(k, mu))
+    assert cert.verified and cert.constant == 1
 
 
 def test_normalize_and_restrict():
