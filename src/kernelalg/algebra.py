@@ -13,19 +13,26 @@ All operations are exact.  Composition gates on structural space equality:
 products are binary trees and no rebracketing ever happens implicitly.  Use
 assoc_kernel / assoc_inv_kernel / rebracket_kernel to move between
 bracketings explicitly.
+
+A row is integer numerators over one denominator (see Measure), so the
+arithmetic below is integer multiply-adds and one gcd per output row.
+parallel, prod and comp_prod build |dom| * |cod| entries; a result of more
+than MAX_DENSE_ENTRIES entries is refused before anything is built.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
+from math import lcm
+from operator import mul
 
-from .errors import NotAProductCodomain, SpaceMismatch
+from .errors import KernelAlgError, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, zero_measure
-from .scalar import ZERO
 from .spaces import UNIT, Product, SpaceExpr
 from .variables import RandomVariable
 
 __all__ = [
+    "MAX_DENSE_ENTRIES",
     "deterministic",
     "identity_kernel",
     "copy_kernel",
@@ -56,6 +63,21 @@ __all__ = [
     "measure_as_kernel",
     "kernel_as_measure",
 ]
+
+
+# Most entries a dense product result may have: 2**24, whose row tuples alone
+# take 128 MiB of pointers.
+MAX_DENSE_ENTRIES = 1 << 24
+
+
+def _check_dense(op: str, dom_size: int, cod_size: int):
+    """Refuse a dense result of dom_size x cod_size above MAX_DENSE_ENTRIES."""
+    entries = dom_size * cod_size
+    if entries > MAX_DENSE_ENTRIES:
+        raise KernelAlgError(
+            f"{op} result of {dom_size} x {cod_size} = {entries} entries, above the "
+            f"limit of {MAX_DENSE_ENTRIES}"
+        )
 
 
 # -- structural kernels --------------------------------------------------------
@@ -129,14 +151,20 @@ def snd_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
 
 def prod_mk_right(kernel: Kernel, extra: SpaceExpr) -> Kernel:
     """Lift dom -> cod to (dom x extra) -> cod, ignoring the second coordinate."""
+    dom = Product(kernel.domain, extra)
+    if kernel.index_map is not None:
+        index_map = tuple(j for j in kernel.index_map for _ in range(extra.size))
+        return Kernel._from_map(dom, kernel.codomain, index_map)
     rows = tuple(row for row in kernel.rows for _ in range(extra.size))
-    return Kernel._unchecked(Product(kernel.domain, extra), kernel.codomain, rows)
+    return Kernel._unchecked(dom, kernel.codomain, rows)
 
 
 def prod_mk_left(extra: SpaceExpr, kernel: Kernel) -> Kernel:
     """Lift dom -> cod to (extra x dom) -> cod, ignoring the first coordinate."""
-    rows = kernel.rows * extra.size
-    return Kernel._unchecked(Product(extra, kernel.domain), kernel.codomain, rows)
+    dom = Product(extra, kernel.domain)
+    if kernel.index_map is not None:
+        return Kernel._from_map(dom, kernel.codomain, kernel.index_map * extra.size)
+    return Kernel._unchecked(dom, kernel.codomain, kernel.rows * extra.size)
 
 
 def rebracket_kernel(src: SpaceExpr, dst: SpaceExpr) -> Kernel:
@@ -183,28 +211,39 @@ def compose(eta: Kernel, kappa: Kernel) -> Kernel:
         return Kernel._unchecked(
             kappa.domain, cod, tuple(_scatter(eta, row) for row in kappa.rows)
         )
-    n = cod.size
-    eta_rows = eta.rows
-    out_rows = []
-    for row in kappa.rows:
-        acc = [ZERO] * n
-        for yi, wy in enumerate(row.weights):
-            if wy.is_zero():
-                continue
-            for zi, wz in enumerate(eta_rows[yi].weights):
-                if not wz.is_zero():
-                    acc[zi] = acc[zi] + wy * wz
-        out_rows.append(Measure._unchecked(cod, tuple(acc)))
-    return Kernel._unchecked(kappa.domain, cod, tuple(out_rows))
+    return Kernel._unchecked(kappa.domain, cod, _mix(cod, kappa.rows, eta.rows))
+
+
+def _mix(cod: SpaceExpr, rows, eta_rows) -> tuple:
+    """Each of `rows` pushed through the dense rows `eta_rows`, into cod.
+
+    The eta rows that some row reads are scaled once to the lcm L of their
+    denominators.  Output z of a row a is then the integer dot product
+    sum_y a_y * (L / E_y) * b_yz over a.den * L, reduced by one gcd per row.
+    """
+    read = [any(col) for col in zip(*(row.nums for row in rows))]
+    scale = lcm(*(eta.den for eta, r in zip(eta_rows, read) if r))
+    unread = (0,) * cod.size
+    scaled = [
+        tuple(map((scale // eta.den).__mul__, eta.nums)) if r else unread
+        for eta, r in zip(eta_rows, read)
+    ]
+    cols = list(zip(*scaled)) if scaled else [()] * cod.size
+    return tuple(
+        Measure._reduce(
+            cod, tuple([sum(map(mul, row.nums, col)) for col in cols]), row.den * scale
+        )
+        for row in rows
+    )
 
 
 def _scatter(f: Kernel, mu: Measure) -> Measure:
     """Push mu through the deterministic kernel f: add each weight at its image."""
-    acc = [ZERO] * f.codomain.size
-    for x, w in zip(f.index_map, mu.weights):
-        if not w.is_zero():
-            acc[x] = acc[x] + w
-    return Measure._unchecked(f.codomain, tuple(acc))
+    acc = [0] * f.codomain.size
+    for x, n in zip(f.index_map, mu.nums):
+        if n:
+            acc[x] += n
+    return Measure._reduce(f.codomain, tuple(acc), mu.den)
 
 
 def measure_product(a: Measure, b: Measure) -> Measure:
@@ -217,6 +256,11 @@ def parallel(kappa: Kernel, eta: Kernel) -> Kernel:
 
     Row at (x, t) is the product measure kappa(x) (x) eta(t).
     """
+    _check_dense(
+        "parallel",
+        kappa.domain.size * eta.domain.size,
+        kappa.codomain.size * eta.codomain.size,
+    )
     dom = Product(kappa.domain, eta.domain)
     cod = Product(kappa.codomain, eta.codomain)
     rows = tuple(
@@ -226,15 +270,22 @@ def parallel(kappa: Kernel, eta: Kernel) -> Kernel:
 
 
 def _pair_row(cod: Product, a: Measure, rows) -> Measure:
-    """The measure on cod with weight a({i}) * rows[i]({j}) at (i, j)."""
-    n = cod.right.size
-    weights = []
-    for wa, row in zip(a.weights, rows):
-        if wa.is_zero():
-            weights.extend([ZERO] * n)
+    """The measure on cod with weight a({i}) * rows[i]({j}) at (i, j).
+
+    Its denominator is a.den times the lcm of the rows a weights.  The product
+    of two canonical rows need not be canonical, (1,1)/2 (x) (2,4)/3 being
+    (2,4,2,4)/6, so the result takes one gcd.
+    """
+    pairs = list(zip(a.nums, rows))
+    scale = lcm(*(row.den for w, row in pairs if w))
+    zeros = (0,) * cod.right.size
+    nums = []
+    for w, row in pairs:
+        if w:
+            nums.extend(map((w * (scale // row.den)).__mul__, row.nums))
         else:
-            weights.extend(wa * wb if not wb.is_zero() else ZERO for wb in row.weights)
-    return Measure._unchecked(cod, tuple(weights))
+            nums.extend(zeros)
+    return Measure._reduce(cod, tuple(nums), a.den * scale)
 
 
 def prod(kappa: Kernel, eta: Kernel) -> Kernel:
@@ -247,6 +298,7 @@ def prod(kappa: Kernel, eta: Kernel) -> Kernel:
         raise SpaceMismatch(
             f"prod needs a shared domain, got {kappa.domain} and {eta.domain}"
         )
+    _check_dense("prod", kappa.domain.size, kappa.codomain.size * eta.codomain.size)
     cod = Product(kappa.codomain, eta.codomain)
     rows = tuple(
         _pair_row(cod, ra, repeat(rb)) for ra, rb in zip(kappa.rows, eta.rows)
@@ -267,6 +319,7 @@ def comp_prod(kappa: Kernel, eta: Kernel) -> Kernel:
             f"comp_prod: second kernel must have domain {expected}, got {eta.domain}"
         )
     y_size = kappa.codomain.size
+    _check_dense("comp_prod", kappa.domain.size, y_size * eta.codomain.size)
     cod = Product(kappa.codomain, eta.codomain)
     eta_rows = eta.rows
     rows = tuple(

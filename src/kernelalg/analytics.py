@@ -83,6 +83,15 @@ def _log(q) -> float:
     return math.log(n) - math.log(d)
 
 
+def _log_near_one(q) -> float:
+    """_log(q), but log1p of the exact q - 1 when 1/2 < q < 2, whose digits
+    log(float(q)) would round away."""
+    n, d = q.numerator, q.denominator
+    if d < 2 * n < 4 * d:
+        return math.log1p((n - d) / d)
+    return _log(q)
+
+
 def _exp(v) -> float:
     """exp of an exact or float exponent: 0.0 below -746 and inf past the float
     range, both decided on v itself before any conversion."""
@@ -286,7 +295,8 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     when mu == nu.  An order whose float64 is 1.0 is refused.  Near order 1 the
     log of the sum is (alpha - 1) D, which a log-sum-exp cancels away; there,
     with p, q the weights, P the exact shared mass of mu and b = 1 - alpha, it is
-    log P + log1p(sum (p / P) expm1(b log(q / p))) instead.
+    log P + log1p(sum (p / P) expm1(b log(q / p))) instead, where log P and
+    log(q / p) come from the exact P - 1 and q / p - 1 when near 1.
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
@@ -308,13 +318,13 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     if not shared:
         return math.inf
     if alpha > Fraction(1, 2):
-        logs = [_log(wn / wm) for wm, wn in shared]
+        logs = [_log_near_one(wn / wm) for wm, wn in shared]
         if b * max(abs(r) for r in logs) <= 1:  # keeps log1p's argument in [-0.64, 1.72]
             mass = sum(wm for wm, _ in shared)
             excess = sum(
                 float(wm / mass) * math.expm1(b * r) for (wm, _), r in zip(shared, logs)
             )
-            return (_log(mass) + math.log1p(excess)) / -b
+            return (_log_near_one(mass) + math.log1p(excess)) / -b
     return _log_sum_exp([a * _log(wm) + b * _log(wn) for wm, wn in shared]) / -b
 
 

@@ -65,11 +65,12 @@ def _print_value(value, as_json: bool, log2: bool = False):
     if isinstance(value, Kernel):
         print(f"kernel : {value.domain} -> {value.codomain}")
         for atom, row in zip(value.domain.atoms, value.rows):
-            print(f"  {format_atom(atom)}: " + _weights_body(value.codomain, row.weights))
+            print(f"  {format_atom(atom)}: " + _weights_body(value.codomain, row._texts()))
     elif isinstance(value, Measure):
-        print(f"measure on {value.space} = " + _weights_body(value.space, value.weights))
+        print(f"measure on {value.space} = " + _weights_body(value.space, value._texts()))
     elif isinstance(value, DensityTable):
-        print(f"density on {value.domain} = " + _weights_body(value.domain, value.values))
+        texts = map(_format_rational, value.values)
+        print(f"density on {value.domain} = " + _weights_body(value.domain, texts))
     elif isinstance(value, bool):
         print("true" if value else "false")
     elif isinstance(value, float):

@@ -10,10 +10,12 @@ same kernel, which the law suite checks as modification invariance.
 
 from __future__ import annotations
 
+from math import lcm
+
 from .algebra import comp_prod, marginal_fst, measure_as_kernel
 from .errors import EmptyCodomainZ, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, uniform
-from .scalar import ZERO, Scalar, as_scalar
+from .scalar import ZERO, Scalar, _ratio, as_scalar
 from .spaces import Product, SpaceExpr
 
 __all__ = [
@@ -98,16 +100,9 @@ def cond_kernel(kappa: Kernel) -> Kernel:
     rows = []
     for row in kappa.rows:
         for yi in range(y_space.size):
-            fiber = row.weights[yi * nz : (yi + 1) * nz]
-            denom = ZERO
-            for w in fiber:
-                denom = denom + w
-            if denom.is_zero():
-                rows.append(uniform_row)
-            else:
-                rows.append(
-                    Measure._unchecked(z_space, tuple(w / denom for w in fiber))
-                )
+            fiber = row.nums[yi * nz : (yi + 1) * nz]
+            mass = sum(fiber)
+            rows.append(Measure._reduce(z_space, fiber, mass) if mass else uniform_row)
     return Kernel._unchecked(dom, z_space, tuple(rows))
 
 
@@ -148,16 +143,12 @@ def with_density(eta: Kernel, f: DensityTable) -> Kernel:
     ny = eta.codomain.size
     rows = []
     for xi, row in enumerate(eta.rows):
-        base = xi * ny
-        rows.append(
-            Measure._unchecked(
-                eta.codomain,
-                tuple(
-                    f.values[base + yi] * w if not w.is_zero() else ZERO
-                    for yi, w in enumerate(row.weights)
-                ),
-            )
+        values = f.values[xi * ny : (xi + 1) * ny]
+        scale = lcm(*(v.denominator for v in values))
+        nums = tuple(
+            n * v.numerator * (scale // v.denominator) for n, v in zip(row.nums, values)
         )
+        rows.append(Measure._reduce(eta.codomain, nums, row.den * scale))
     return Kernel._unchecked(eta.domain, eta.codomain, tuple(rows))
 
 
@@ -179,8 +170,11 @@ def rn_deriv(kappa: Kernel, eta: Kernel) -> DensityTable:
     _check_same_shape(kappa, eta)
     values = []
     for ka, ea in zip(kappa.rows, eta.rows):
-        for wk, we in zip(ka.weights, ea.weights):
-            values.append(ZERO if we.is_zero() else wk / we)
+        # (nk / Dk) / (ne / De) = nk * De / (Dk * ne)
+        dk, de = ka.den, ea.den
+        values.extend(
+            _ratio(nk * de, dk * ne) if ne else ZERO for nk, ne in zip(ka.nums, ea.nums)
+        )
     return DensityTable(Product(kappa.domain, kappa.codomain), values)
 
 
@@ -189,15 +183,8 @@ def singular_part(kappa: Kernel, eta: Kernel) -> Kernel:
     _check_same_shape(kappa, eta)
     rows = []
     for ka, ea in zip(kappa.rows, eta.rows):
-        rows.append(
-            Measure._unchecked(
-                kappa.codomain,
-                tuple(
-                    wk if we.is_zero() else ZERO
-                    for wk, we in zip(ka.weights, ea.weights)
-                ),
-            )
-        )
+        nums = tuple(0 if ne else nk for nk, ne in zip(ka.nums, ea.nums))
+        rows.append(Measure._reduce(kappa.codomain, nums, ka.den))
     return Kernel._unchecked(kappa.domain, kappa.codomain, tuple(rows))
 
 
@@ -208,11 +195,11 @@ def rn_decomposition(kappa: Kernel, eta: Kernel) -> RNDecomposition:
 def absolutely_continuous(kappa: Kernel, eta: Kernel) -> bool:
     """True iff every row of kappa vanishes wherever the matching eta row does."""
     _check_same_shape(kappa, eta)
-    for ka, ea in zip(kappa.rows, eta.rows):
-        for wk, we in zip(ka.weights, ea.weights):
-            if we.is_zero() and not wk.is_zero():
-                return False
-    return True
+    return not any(
+        nk and not ne
+        for ka, ea in zip(kappa.rows, eta.rows)
+        for nk, ne in zip(ka.nums, ea.nums)
+    )
 
 
 def measure_rn_deriv(mu: Measure, nu: Measure):

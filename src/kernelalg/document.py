@@ -492,11 +492,9 @@ _PARSERS = {
 # -- serialization -----------------------------------------------------------------
 
 
-def _weights_body(space, values) -> str:
-    """`{ atom: p/q, ... }` of rationals listed in the space's atom order."""
-    body = ", ".join(
-        f"{format_atom(a)}: {_format_rational(v)}" for a, v in zip(space.atoms, values)
-    )
+def _weights_body(space, texts) -> str:
+    """`{ atom: p/q, ... }` of printed rationals listed in the space's atom order."""
+    body = ", ".join(f"{format_atom(a)}: {t}" for a, t in zip(space.atoms, texts))
     return "{ " + body + " }"
 
 
@@ -510,14 +508,14 @@ def serialize_document(doc: Document) -> str:
         elif sort == "measure":
             chunks.append(
                 f"measure {name} on {obj.space} = "
-                + _weights_body(obj.space, obj.weights)
+                + _weights_body(obj.space, obj._texts())
             )
         elif sort == "kernel":
             lines = [f"kernel {name} : {obj.domain} -> {obj.codomain} = {{"]
             for atom, row in zip(obj.domain.atoms, obj.rows):
                 lines.append(
                     f"  {format_atom(atom)}: "
-                    + _weights_body(obj.codomain, row.weights)
+                    + _weights_body(obj.codomain, row._texts())
                 )
             lines.append("}")
             chunks.append("\n".join(lines))
@@ -531,7 +529,7 @@ def serialize_document(doc: Document) -> str:
         elif sort == "realrv":
             chunks.append(
                 f"realrv {name} on {obj.domain} = "
-                + _weights_body(obj.domain, obj.values)
+                + _weights_body(obj.domain, map(_format_rational, obj.values))
             )
         elif sort == "partition":
             blocks = " ".join(

@@ -51,7 +51,7 @@ def render_value(value):
             "sort": "measure",
             "space": str(value.space),
             "weights": {
-                format_atom(a): str(w) for a, w in value.items()
+                format_atom(a): t for a, t in zip(value.space.atoms, value._texts())
             },
         }
     if isinstance(value, Kernel):
@@ -61,7 +61,7 @@ def render_value(value):
             "codomain": str(value.codomain),
             "rows": {
                 format_atom(a): {
-                    format_atom(b): str(w) for b, w in row.items()
+                    format_atom(b): t for b, t in zip(value.codomain.atoms, row._texts())
                 }
                 for a, row in zip(value.domain.atoms, value.rows)
             },

@@ -12,6 +12,8 @@ sneaks in anywhere here.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import (
     DimensionMismatch,
     NoMarkovIntoEmpty,
@@ -19,16 +21,24 @@ from .errors import (
     NotMarkov,
     SpaceMismatch,
 )
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, _format_ratio, _ratio, _views, as_scalar
 from .spaces import SpaceExpr, format_atom
 
 __all__ = ["Measure", "Kernel", "dirac", "uniform", "zero_measure"]
 
 
 class Measure:
-    """A finite measure on a space expression: one Scalar weight per atom."""
+    """A finite measure on a space expression: integer numerators over one
+    denominator.
 
-    __slots__ = ("space", "weights", "_total")
+    `nums[i] / den` is the weight of atom i, and the pair is canonical:
+    den >= 1 and gcd(den, *nums) == 1, so the zero measure has den 1.  Exact
+    equality and hashing are tuple operations on it.  `weights` is the same
+    row as a tuple of Scalars, built on its first read and cached, an
+    idempotent write like `_total`.
+    """
+
+    __slots__ = ("space", "nums", "den", "_weights", "_total")
 
     def __init__(self, space: SpaceExpr, weights):
         weights = tuple(as_scalar(w) for w in weights)
@@ -36,8 +46,12 @@ class Measure:
             raise DimensionMismatch(
                 f"space {space} has {space.size} atoms, got {len(weights)} weights"
             )
+        # lowest-terms weights over the lcm of their denominators share no factor
+        den = lcm(*(w.denominator for w in weights))
         self.space = space
-        self.weights = weights
+        self.nums = tuple(w.numerator * (den // w.denominator) for w in weights)
+        self.den = den
+        self._weights = weights
         self._total = None
 
     @classmethod
@@ -51,12 +65,31 @@ class Measure:
         return cls(space, weights)
 
     @classmethod
-    def _unchecked(cls, space, weights) -> "Measure":
+    def _of(cls, space, nums: tuple, den: int, weights=None) -> "Measure":
+        """The measure nums / den, which must already be canonical."""
         m = object.__new__(cls)
         m.space = space
-        m.weights = weights
+        m.nums = nums
+        m.den = den
+        m._weights = weights
         m._total = None
         return m
+
+    @classmethod
+    def _reduce(cls, space, nums: tuple, den: int) -> "Measure":
+        """The measure nums / den of nonnegative ints and den >= 1, made canonical."""
+        g = gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+        return cls._of(space, nums, den)
+
+    @property
+    def weights(self) -> tuple:
+        weights = self._weights
+        if weights is None:
+            weights = self._weights = _views(self.nums, self.den)
+        return weights
 
     # -- queries -----------------------------------------------------------
 
@@ -65,21 +98,16 @@ class Measure:
 
     def mass_of(self, atoms) -> Scalar:
         """Total weight of a set of atoms (exact, additive by construction)."""
-        total = ZERO
-        for atom in atoms:
-            total = total + self.weights[self.space.index_of(atom)]
-        return total
+        nums, index_of = self.nums, self.space.index_of
+        return _ratio(sum(nums[index_of(atom)] for atom in atoms), self.den)
 
     def total(self) -> Scalar:
         if self._total is None:
-            total = ZERO
-            for w in self.weights:
-                total = total + w
-            self._total = total
+            self._total = _ratio(sum(self.nums), self.den)
         return self._total
 
     def is_probability(self) -> bool:
-        return self.total() == ONE
+        return sum(self.nums) == self.den
 
     def require_probability(self) -> "Measure":
         if not self.is_probability():
@@ -90,34 +118,44 @@ class Measure:
 
     def support(self):
         """Indices of atoms with positive weight."""
-        return [i for i, w in enumerate(self.weights) if not w.is_zero()]
+        return [i for i, n in enumerate(self.nums) if n]
 
     def items(self):
         return zip(self.space.atoms, self.weights)
 
+    def _texts(self):
+        """Each weight as the `.kd` and JSON writers print it, in atom order."""
+        den = self.den
+        for n in self.nums:
+            g = gcd(n, den)
+            yield _format_ratio(n // g, den // g)
+
     # -- constructions -------------------------------------------------------
 
     def normalize(self) -> "Measure":
-        t = self.total()
-        if t.is_zero():
+        t = sum(self.nums)
+        if t == 0:
             raise NotAProbabilityMeasure(f"cannot normalize the zero measure on {self.space}")
-        if t == ONE:
+        if t == self.den:
             return self
-        return Measure._unchecked(self.space, tuple(w / t for w in self.weights))
+        return Measure._reduce(self.space, self.nums, t)
 
     def restrict(self, atoms) -> "Measure":
         """Keep the weight on the given atom set, zero elsewhere."""
         keep = {self.space.index_of(a) for a in atoms}
-        return Measure._unchecked(
+        return Measure._reduce(
             self.space,
-            tuple(w if i in keep else ZERO for i, w in enumerate(self.weights)),
+            tuple(n if i in keep else 0 for i, n in enumerate(self.nums)),
+            self.den,
         )
 
     def add(self, other: "Measure") -> "Measure":
         if self.space != other.space:
             raise SpaceMismatch(f"cannot add measures on {self.space} and {other.space}")
-        return Measure._unchecked(
-            self.space, tuple(a + b for a, b in zip(self.weights, other.weights))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        return Measure._reduce(
+            self.space, tuple(a * fa + b * fb for a, b in zip(self.nums, other.nums)), den
         )
 
     # -- identity -------------------------------------------------------------
@@ -125,10 +163,10 @@ class Measure:
     def __eq__(self, other):
         if not isinstance(other, Measure):
             return NotImplemented
-        return self.space == other.space and self.weights == other.weights
+        return self.den == other.den and self.nums == other.nums and self.space == other.space
 
     def __hash__(self):
-        return hash((self.space, self.weights))
+        return hash((self.space, self.nums, self.den))
 
     def __repr__(self):
         inner = ", ".join(f"{format_atom(a)}: {w}" for a, w in self.items())
@@ -136,22 +174,30 @@ class Measure:
 
 
 def dirac(space: SpaceExpr, atom) -> Measure:
-    return _dirac_at(space, space.index_of(atom))
+    i = space.index_of(atom)
+    return _diracs(space, (i,))[i]
 
 
-def _dirac_at(space: SpaceExpr, i: int) -> Measure:
-    return Measure._unchecked(space, (ZERO,) * i + (ONE,) + (ZERO,) * (space.size - i - 1))
+def _diracs(space: SpaceExpr, indices) -> dict:
+    """The Dirac measure at each atom index in `indices`, keyed by index.
+
+    Each row is a slice of one template of 2|space| - 1 entries with its 1 in
+    the middle."""
+    m = space.size
+    nums = (0,) * (m - 1) + (1,) + (0,) * (m - 1)
+    weights = (ZERO,) * (m - 1) + (ONE,) + (ZERO,) * (m - 1)
+    cut = {i: slice(m - 1 - i, 2 * m - 1 - i) for i in indices}
+    return {i: Measure._of(space, nums[s], 1, weights[s]) for i, s in cut.items()}
 
 
 def uniform(space: SpaceExpr) -> Measure:
     if space.size == 0:
         raise NotAProbabilityMeasure(f"no uniform probability on the empty space {space}")
-    w = ONE / Scalar(space.size)
-    return Measure._unchecked(space, (w,) * space.size)
+    return Measure._of(space, (1,) * space.size, space.size)
 
 
 def zero_measure(space: SpaceExpr) -> Measure:
-    return Measure._unchecked(space, (ZERO,) * space.size)
+    return Measure._of(space, (0,) * space.size, 1, (ZERO,) * space.size)
 
 
 class Kernel:
@@ -209,8 +255,8 @@ class Kernel:
     def rows(self):
         rows = self._rows
         if rows is None:
-            rows = tuple(_dirac_at(self.codomain, j) for j in self.index_map)
-            self._rows = rows
+            diracs = _diracs(self.codomain, set(self.index_map))
+            rows = self._rows = tuple(map(diracs.__getitem__, self.index_map))
         return rows
 
     # -- queries ---------------------------------------------------------------
@@ -230,14 +276,15 @@ class Kernel:
             raise SpaceMismatch(
                 f"measure on {mu.space} does not match kernel domain {self.domain}"
             )
-        return [(w, row) for w, row in zip(mu.weights, self.rows) if not w.is_zero()]
+        weights, rows = mu.weights, self.rows
+        return [(weights[i], rows[i]) for i, n in enumerate(mu.nums) if n]
 
     def is_markov(self) -> bool:
         if self.index_map is not None:
             return True
         # a lifted kernel (prod_mk_left) repeats a few row objects many times
         distinct = {id(row): row for row in self.rows}.values()
-        return all(row.total() == ONE for row in distinct)
+        return all(row.is_probability() for row in distinct)
 
     def require_markov(self) -> "Kernel":
         if not self.is_markov():
@@ -266,10 +313,10 @@ class Kernel:
             return False
         if self.index_map is not None and other.index_map is not None:
             return self.index_map == other.index_map
-        return all(a.weights == b.weights for a, b in zip(self.rows, other.rows))
+        return all(a.den == b.den and a.nums == b.nums for a, b in zip(self.rows, other.rows))
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, tuple(r.weights for r in self.rows)))
+        return hash((self.domain, self.codomain, tuple((r.nums, r.den) for r in self.rows)))
 
     def __repr__(self):
         return f"Kernel({self.domain} -> {self.codomain}, {self.domain.size} rows)"

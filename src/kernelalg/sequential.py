@@ -17,16 +17,19 @@ two runs with one seed agree bit for bit on every platform.
 Every chain is checked before anything is built: one with more than
 MAX_CHAIN_STEPS steps, or with a history space of more than MAX_HISTORY_ATOMS
 atoms, is refused.  The horizon-n trajectory kernel has exactly |history_n|
-entries, so this also bounds traj_kernel.  The step limit matters only on a
+entries, so this also bounds traj_kernel, which checks its size against
+algebra.MAX_DENSE_ENTRIES as well.  The step limit matters only on a
 one-atom state space, whose histories never grow.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import repeat
+from itertools import accumulate, repeat
+from math import prod
 
 from .algebra import (
+    _check_dense,
     comp_measure,
     comp_prod,
     compose,
@@ -99,16 +102,9 @@ class _RowSampler:
     __slots__ = ("thresholds",)
 
     def __init__(self, row: Measure):
-        thresholds = []
-        num, den = 0, 1
-        for w in row.weights:
-            if not w.is_zero():
-                f = w.as_fraction()
-                num = num * f.denominator + f.numerator * den
-                den = den * f.denominator
-            # threshold = ceil(cumulative * 2**64), exact
-            thresholds.append(-((-num << 64) // den))
-        self.thresholds = thresholds
+        # threshold = ceil(cumulative * 2**64), exact
+        den = row.den
+        self.thresholds = [-((-cum << 64) // den) for cum in accumulate(row.nums)]
 
     def draw(self, u: int) -> int:
         return bisect_right(self.thresholds, u)
@@ -206,6 +202,8 @@ def _check_horizon(chain: KernelChain, n: int):
 def traj_kernel(chain: KernelChain, n: int) -> Kernel:
     """Joint kernel of the first n outputs, start space to trajectory space."""
     _check_horizon(chain, n)
+    outs = prod(step.codomain.size for step in chain.steps[:n])
+    _check_dense("traj_kernel", chain.start.size, outs)
     xi = chain.steps[0]
     history = Product(chain.start, chain.steps[0].codomain)
     for i in range(1, n):

@@ -141,6 +141,71 @@ def compose_oracle(eta, kappa) -> list:
     return out
 
 
+# -- Scalar-route references for the integer row arithmetic -----------------------
+#
+# The library's rows are integer numerators over one denominator.  These are the
+# Scalar routes it took before, kept to compare the two on random inputs; each
+# result goes through the public Measure constructor.
+
+
+def scalar_compose(eta, kappa) -> Kernel:
+    """compose by Scalar multiply-adds over the dense rows of both operands."""
+    cod = eta.codomain
+    eta_rows = eta.rows
+    out_rows = []
+    for row in kappa.rows:
+        acc = [ZERO] * cod.size
+        for yi, wy in enumerate(row.weights):
+            if wy.is_zero():
+                continue
+            for zi, wz in enumerate(eta_rows[yi].weights):
+                if not wz.is_zero():
+                    acc[zi] = acc[zi] + wy * wz
+        out_rows.append(Measure(cod, acc))
+    return Kernel(kappa.domain, cod, out_rows)
+
+
+def scalar_scatter(f, mu) -> Measure:
+    """Push mu through the map kernel f: add each Scalar weight at its image."""
+    acc = [ZERO] * f.codomain.size
+    for x, w in zip(f.index_map, mu.weights):
+        if not w.is_zero():
+            acc[x] = acc[x] + w
+    return Measure(f.codomain, acc)
+
+
+def scalar_pair_row(cod, a, rows) -> Measure:
+    """The measure on cod with weight a({i}) * rows[i]({j}) at (i, j)."""
+    n = cod.right.size
+    weights = []
+    for wa, row in zip(a.weights, rows):
+        if wa.is_zero():
+            weights.extend([ZERO] * n)
+        else:
+            weights.extend(wa * wb if not wb.is_zero() else ZERO for wb in row.weights)
+    return Measure(cod, weights)
+
+
+def scalar_total(mu) -> Scalar:
+    total = ZERO
+    for w in mu.weights:
+        total = total + w
+    return total
+
+
+def scalar_thresholds(row) -> list:
+    """Inverse-CDF thresholds ceil(cumulative * 2**64), from Fraction weights."""
+    thresholds = []
+    num, den = 0, 1
+    for w in row.weights:
+        if not w.is_zero():
+            f = w.as_fraction()
+            num = num * f.denominator + f.numerator * den
+            den = den * f.denominator
+        thresholds.append(-((-num << 64) // den))
+    return thresholds
+
+
 # -- eager references for lazy products and their index arithmetic ---------------
 
 

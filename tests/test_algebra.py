@@ -502,3 +502,35 @@ def test_unknown_law_suite_is_a_kernelalg_error():
     with pytest.raises(KernelAlgError, match="unknown law suite 'algebras'"):
         run_laws("algebras", kernels, {})
     assert run_laws("Bayes", kernels, {}) == []
+
+
+def test_dense_results_checked_before_building(monkeypatch):
+    """parallel, prod, comp_prod and comp_prod_measure multiply out the size of
+    their result first; map operands cost nothing until rows are built."""
+    big = Base(FiniteSpace("B", [str(i) for i in range(4097)]))
+    ident = alg.identity_kernel(big)
+    fst = alg.deterministic(alg.fst_proj(big, big))
+    with monkeypatch.context() as patch:
+        patch.setattr(alg, "_pair_row", None)
+        for build, op, dom, cod in (
+            (lambda: alg.parallel(ident, ident), "parallel", 4097**2, 4097**2),
+            (lambda: alg.prod(ident, ident), "prod", 4097, 4097**2),
+            (lambda: alg.comp_prod(ident, fst), "comp_prod", 4097, 4097**2),
+            (lambda: alg.comp_prod_measure(dirac(big, "0"), ident), "comp_prod", 1, 4097**2),
+        ):
+            with pytest.raises(KernelAlgError) as exc:
+                build()
+            assert str(exc.value) == (
+                f"{op} result of {dom} x {cod} = {dom * cod} entries, "
+                f"above the limit of {alg.MAX_DENSE_ENTRIES}"
+            )
+    assert alg.MAX_DENSE_ENTRIES == 1 << 24 == 4096**2
+    # a result of exactly the limit is built
+    six = alg.identity_kernel(Base(FiniteSpace("Six", [str(i) for i in range(6)])))
+    two = alg.identity_kernel(Base(FiniteSpace("Two", ["x", "y"])))
+    with monkeypatch.context() as patch:
+        patch.setattr(alg, "MAX_DENSE_ENTRIES", 36)
+        assert len(alg.parallel(six, alg.identity_kernel(UNIT)).rows) == 6
+        assert alg.comp_prod_measure(dirac(six.domain, "0"), six).space.size == 36
+        with pytest.raises(KernelAlgError, match="parallel result of 12 x 12 = 144 entries"):
+            alg.parallel(six, two)

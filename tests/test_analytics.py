@@ -314,25 +314,30 @@ def test_renyi_half_bernoulli_closed_form():
 
 def test_renyi_near_order_one_against_decimal_oracle():
     # the full-support pair tends to KL = log(4/3) / 2; the second pair shares
-    # only 3/4 of mu's mass, so its divergence grows like log(4/3) / (1 - alpha)
+    # only 3/4 of mu's mass, so its divergence grows like log(4/3) / (1 - alpha);
+    # the third shares all but 1e-12 of it, so log P must come from 1 - P
     s = Base(FiniteSpace("S", ["a", "b", "c"]))
     partial = (
         Measure(s, [Scalar(1, 2), Scalar(1, 4), Scalar(1, 4)]),
         Measure(s, [Scalar(1, 3), Scalar(2, 3), ZERO]),
     )
-    for mu, nu in ((ber(Fraction(1, 2)), ber(Fraction(1, 4))), partial):
-        for k in range(3, 16):
-            alpha = 1 - Fraction(1, 10**k)
-            with localcontext() as ctx:
-                ctx.prec = 60
-                a = _dec(alpha)
-                terms = [
-                    a * _dec(wm).ln() + (1 - a) * _dec(wn).ln()
-                    for wm, wn in zip(mu.weights, nu.weights)
-                    if not wn.is_zero()
-                ]
-                want = _oracle_log_sum_exp(terms) / (a - 1)
-                assert abs(Decimal(renyi_div(alpha, mu, nu)) - want) <= Decimal(1e-12) * want
+    tiny = Fraction(1, 10**12)
+    almost_all = (Measure(s, [1 - tiny, tiny, ZERO]), dirac(s, "a"))
+    cases = [(ber(Fraction(1, 2)), ber(Fraction(1, 4)), k) for k in range(3, 16)]
+    cases += [(*partial, k) for k in range(3, 16)]
+    cases += [(*almost_all, k) for k in (6, 10)]
+    for mu, nu, k in cases:
+        alpha = 1 - Fraction(1, 10**k)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a = _dec(alpha)
+            terms = [
+                a * _dec(wm).ln() + (1 - a) * _dec(wn).ln()
+                for wm, wn in zip(mu.weights, nu.weights)
+                if not wn.is_zero()
+            ]
+            want = _oracle_log_sum_exp(terms) / (a - 1)
+            assert abs(Decimal(renyi_div(alpha, mu, nu)) - want) <= Decimal(1e-12) * want
 
 
 def test_renyi_alpha_range():

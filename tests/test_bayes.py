@@ -90,7 +90,6 @@ def test_bayes_formula_holds_and_reports():
     report = bayes_check(kappa, mu)
     assert report.holds
     assert (("h", "r")) in report.checked
-    assert report.dominated
     rng = random.Random(3)
     for _ in range(30):
         a, b = fresh_space(rng, 4), fresh_space(rng, 4)

@@ -389,3 +389,26 @@ def test_over_long_integer_literal_exit_2(capsys, tmp_path):
     )
     assert (code, out) == (2, "")
     assert err.startswith("error: 1:7: integer literal of")
+
+
+def test_dense_result_above_the_limit_refused_exit_2(capsys, tmp_path):
+    """parallel(k, k) on 40 atoms has 2.56e6 entries and is built; the outer
+    parallel would have 4.1e9 and is refused before any row is built."""
+    atoms = [f"s{i}" for i in range(40)]
+
+    def row(i):
+        return ", ".join(
+            f"{a}: {'1/2' if j in (i, (i + 1) % 40) else '0'}" for j, a in enumerate(atoms)
+        )
+
+    doc = tmp_path / "forty.kd"
+    doc.write_text(
+        f"space S {{ {' '.join(atoms)} }}\n"
+        "kernel k : S -> S = {\n"
+        + "".join(f"  {a}: {{ {row(i)} }}\n" for i, a in enumerate(atoms))
+        + "}\n"
+    )
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "parallel(k, parallel(k, k))")
+    assert (code, out) == (2, "")
+    assert "parallel result of 64000 x 64000 = 4096000000 entries, above the limit of " \
+        "16777216" in err

@@ -1,0 +1,191 @@
+"""Integer rows over one denominator, against the Scalar routes they replaced.
+
+Every Measure holds `nums / den` in canonical form.  The row arithmetic
+(compose and its gather/scatter, the paired rows of parallel, prod and
+comp_prod, totals and sampler thresholds) runs on those integers; here each is
+compared with the Scalar route kept in genlib, on random rows of every kind:
+empty and one-atom spaces, zero, Dirac and non-probability rows, and weights
+whose denominators are pairwise coprime and up to 10**30.
+"""
+
+import random
+from fractions import Fraction
+from itertools import repeat
+from math import gcd
+
+import genlib
+from genlib import compose_oracle, fresh_space, random_measure, random_probability, random_rv
+from kernelalg import algebra as alg
+from kernelalg.bayes import posterior
+from kernelalg.conditioning import cond_exp_kernel
+from kernelalg.disintegration import DensityTable, cond_kernel, singular_part, with_density
+from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
+from kernelalg.scalar import ONE, ZERO, Scalar
+from kernelalg.sequential import _RowSampler
+from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
+from kernelalg.variables import PartitionSigma
+
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def coprime_row(rng, space) -> Measure:
+    """Weights over powers of distinct primes, each power at most 10**30."""
+    primes = list(_PRIMES)
+    rng.shuffle(primes)
+    weights = []
+    for i in range(space.size):
+        p = primes[i % len(primes)]
+        k = 1
+        while p ** (k + 1) <= 10**30 and rng.random() < 0.95:
+            k += 1
+        weights.append(ZERO if rng.random() < 0.3 else Scalar(rng.randint(1, 2 * p**k), p**k))
+    return Measure(space, weights)
+
+
+def random_row(rng, space) -> Measure:
+    if space.size == 0:
+        return zero_measure(space)
+    kind = rng.choice(("probability", "finite", "zero", "dirac", "coprime"))
+    if kind == "probability":
+        return random_probability(rng, space, max_den=48, zero_frac=0.3)
+    if kind == "finite":
+        return random_measure(rng, space, max_den=48, zero_frac=0.3)
+    if kind == "zero":
+        return zero_measure(space)
+    if kind == "dirac":
+        return dirac(space, rng.choice(space.atoms))
+    return coprime_row(rng, space)
+
+
+def random_space(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return UNIT
+    if kind < 0.2:
+        return Base(FiniteSpace(f"E{rng.randrange(10**6)}", []))
+    if kind < 0.3:
+        return Product(fresh_space(rng, 2), fresh_space(rng, 3, min_atoms=0))
+    return fresh_space(rng, 5, min_atoms=0)
+
+
+def operand(rng, dom, cod) -> Kernel:
+    """A dense kernel of random rows, or a map kernel when one exists."""
+    if rng.random() < 0.35 and (cod.size > 0 or dom.size == 0):
+        return alg.deterministic(random_rv(rng, dom, cod))
+    return Kernel(dom, cod, [random_row(rng, cod) for _ in range(dom.size)])
+
+
+def assert_canonical(m: Measure):
+    assert type(m.nums) is tuple and type(m.den) is int
+    assert all(type(n) is int and n >= 0 for n in m.nums)
+    assert m.den >= 1 and gcd(m.den, *m.nums) == 1
+    if not any(m.nums):
+        assert m.den == 1
+
+
+def assert_same_row(got: Measure, want: Measure):
+    assert_canonical(got)
+    assert got.weights == want.weights
+    assert got == want and hash(got) == hash(want)
+    assert _RowSampler(got).thresholds == genlib.scalar_thresholds(want)
+    assert got.total() == genlib.scalar_total(want)
+    assert got.is_probability() == (genlib.scalar_total(want) == ONE)
+
+
+def assert_same_kernel(got: Kernel, want: Kernel):
+    assert got.domain == want.domain and got.codomain == want.codomain
+    assert got == want and hash(got) == hash(want)
+    assert len(got.rows) == len(want.rows)
+    for g, w in zip(got.rows, want.rows):
+        assert_same_row(g, w)
+    assert got.is_markov() == all(genlib.scalar_total(r) == ONE for r in want.rows)
+
+
+def test_integer_rows_match_scalar_routes():
+    rng = random.Random(14)
+    for _ in range(250):
+        x, y, z = (random_space(rng) for _ in range(3))
+        kappa, eta = operand(rng, x, y), operand(rng, y, z)
+
+        composed = alg.compose(eta, kappa)
+        assert_same_kernel(composed, genlib.scalar_compose(eta, kappa))
+        assert [[w.as_fraction() for w in r.weights] for r in composed.rows] == \
+            compose_oracle(eta, kappa)
+
+        mu = random_row(rng, y)
+        f = alg.deterministic(random_rv(rng, y, z)) if z.size or not y.size else None
+        if f is not None:
+            assert_same_row(alg._scatter(f, mu), genlib.scalar_scatter(f, mu))
+        nu = random_row(rng, x)
+        assert_same_row(alg.comp_measure(kappa, nu), genlib.scalar_compose(
+            kappa, alg.measure_as_kernel(nu)).rows[0])
+
+        other = operand(rng, z, x)
+        cod = Product(y, x)
+        assert_same_kernel(alg.parallel(kappa, other), Kernel(
+            Product(x, z), cod,
+            [genlib.scalar_pair_row(cod, ra, repeat(rb)) for ra in kappa.rows for rb in other.rows],
+        ))
+        twin = operand(rng, x, z)
+        cod = Product(y, z)
+        assert_same_kernel(alg.prod(kappa, twin), Kernel(
+            x, cod, [genlib.scalar_pair_row(cod, ra, repeat(rb))
+                     for ra, rb in zip(kappa.rows, twin.rows)]
+        ))
+        second = operand(rng, Product(x, y), z)
+        rows = second.rows
+        assert_same_kernel(alg.comp_prod(kappa, second), Kernel(
+            x, cod, [genlib.scalar_pair_row(cod, ra, rows[i * y.size:(i + 1) * y.size])
+                     for i, ra in enumerate(kappa.rows)]
+        ))
+        assert_same_row(alg.measure_product(nu, mu), genlib.scalar_pair_row(
+            Product(x, y), nu, repeat(mu)))
+        joint = genlib.scalar_pair_row(Product(x, y), nu, kappa.rows)
+        assert_same_row(alg.comp_prod_measure(nu, kappa), joint)
+
+
+def test_paired_rows_need_their_gcd():
+    # neither factor is a probability row, and their product shares a factor 2
+    s, t = Base(FiniteSpace("S", ["a", "b"])), Base(FiniteSpace("T", ["c", "d"]))
+    a = Measure(s, [Scalar(1, 2), Scalar(1, 2)])
+    b = Measure(t, [Scalar(2, 3), Scalar(4, 3)])
+    assert (a.nums, a.den, b.nums, b.den) == ((1, 1), 2, (2, 4), 3)
+    pair = alg.measure_product(a, b)
+    assert (pair.nums, pair.den) == ((1, 2, 1, 2), 3)
+
+
+def test_every_constructor_is_canonical():
+    rng = random.Random(7)
+    s = Base(FiniteSpace("S", ["a", "b", "c"]))
+    empty = Base(FiniteSpace("E", []))
+    built = [
+        Measure(s, [Scalar(2, 4), Fraction(1, 4), 0]),
+        Measure(s, [0, 0, 0]),
+        Measure(s, [2, 4, 6]),
+        Measure(empty, []),
+        Measure(UNIT, [ONE]),
+        Measure.from_dict(s, {"b": Scalar(3, 9)}),
+        dirac(s, "c"),
+        uniform(s),
+        zero_measure(s),
+        zero_measure(empty),
+        Measure(s, [Scalar(2, 6), Scalar(4, 6), ZERO]).normalize(),
+        Measure(s, [Scalar(1, 6), Scalar(1, 3), Scalar(1, 2)]).restrict(["a", "b"]),
+        Measure(s, [Scalar(1, 6), ZERO, ZERO]).add(Measure(s, [Scalar(1, 3), ZERO, ZERO])),
+        Measure(s, [Scalar(1, 2), ZERO, ZERO]).restrict([]),
+    ]
+    built += alg.swap_kernel(s, s).rows + alg.discard_kernel(s).rows
+    sq = Product(s, s)
+    k = Kernel(s, sq, [random_probability(rng, sq, zero_frac=0.3) for _ in s.atoms])
+    k2 = Kernel(s, s, [random_measure(rng, s, zero_frac=0.3) for _ in s.atoms])
+    mu = random_probability(rng, s)
+    built += cond_kernel(k).rows
+    built += singular_part(k2, k2).rows + singular_part(k2, alg.zero_kernel(s, s)).rows
+    density = DensityTable(Product(s, s), [Scalar(i % 3, 4) for i in range(9)])
+    built += with_density(k2, density).rows
+    built += cond_exp_kernel(mu, PartitionSigma(s, [["a", "b"], ["c"]])).rows
+    built += posterior(alg.marginal_fst(k), mu).rows
+    built += alg.compose(k2, k2).rows + alg.add_kernels(k2, k2).rows
+    for m in built:
+        assert_canonical(m)
+        assert Measure(m.space, m.weights) == m

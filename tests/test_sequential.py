@@ -382,3 +382,21 @@ def test_projection_consistency_matches_random_variable_route():
                 assert projected == small
                 assert projection_consistency(chain, n, m)
                 assert genlib.rv_projection_consistency(chain, n, m)
+
+
+def test_trajectory_kernel_size_checked_before_building(monkeypatch):
+    """traj_kernel refuses a result above algebra.MAX_DENSE_ENTRIES before any
+    pairing; valid chains stay below it, so the limit is lowered here."""
+    w = Base(FiniteSpace("T", ["a", "b", "c"]))
+    chain = markov_chain(uniform(w), alg.const_kernel(w, uniform(w)), 4)
+    assert traj_kernel(chain, 3).codomain.size == 27
+    with monkeypatch.context() as patch:
+        patch.setattr(alg, "MAX_DENSE_ENTRIES", 81)
+        patch.setattr(sequential, "comp_prod", None)
+        patch.setattr(sequential, "compose", None)
+        assert traj_kernel(chain, 1).codomain.size == 3
+        with pytest.raises(KernelAlgError) as exc:
+            traj_kernel(chain, 4)
+        assert str(exc.value) == (
+            "traj_kernel result of 3 x 81 = 243 entries, above the limit of 81"
+        )
