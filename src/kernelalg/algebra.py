@@ -16,8 +16,8 @@ bracketings explicitly.
 
 A row is integer numerators over one denominator (see Measure), so the
 arithmetic below is integer multiply-adds and one gcd per output row.
-parallel, prod and comp_prod build |dom| * |cod| entries; a result of more
-than MAX_DENSE_ENTRIES entries is refused before anything is built.
+compose, parallel, prod and comp_prod build |dom| * |cod| entries; a result of
+more than MAX_DENSE_ENTRIES entries is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -207,6 +207,7 @@ def compose(eta: Kernel, kappa: Kernel) -> Kernel:
         return Kernel._unchecked(
             kappa.domain, cod, tuple(eta_rows[y] for y in kappa.index_map)
         )
+    _check_dense("compose", kappa.domain.size, cod.size)
     if eta.index_map is not None:
         return Kernel._unchecked(
             kappa.domain, cod, tuple(_scatter(eta, row) for row in kappa.rows)

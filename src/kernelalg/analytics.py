@@ -112,9 +112,9 @@ def entropy(mu: Measure) -> float:
     """Shannon entropy in nats, with the 0 log 0 = 0 convention."""
     mu.require_probability()
     acc = 0.0
-    for w in mu.weights:
-        if not w.is_zero():
-            acc -= float(w) * _log(w)
+    for n in mu.nums:
+        if n:
+            acc -= n / mu.den * _log(Fraction(n, mu.den))
     return acc
 
 
@@ -141,14 +141,15 @@ def cond_entropy(x: RandomVariable, y: RandomVariable, mu: Measure) -> float:
         )
     mu.require_probability()
     py = pushforward(mu, y)
+    joint = pushforward(mu, pair_rv(y, x))
     nx = x.codomain.size
     acc = 0.0
     # the joint law of (y, x), row-major: atom (b, a) has index b * |X| + a
-    for i, pab in enumerate(pushforward(mu, pair_rv(y, x)).weights):
-        if not pab.is_zero():
-            pb = py.weights[i // nx]
-            p_cond = pab / pb
-            acc -= float(pb) * float(p_cond) * _log(p_cond)
+    for i, n in enumerate(joint.nums):
+        if n:
+            nb = py.nums[i // nx]
+            p_cond = Fraction(n * py.den, joint.den * nb)
+            acc -= nb / py.den * float(p_cond) * _log(p_cond)
     return acc
 
 
@@ -159,11 +160,11 @@ def kl_div(mu: Measure, nu: Measure) -> float:
     mu.require_probability()
     nu.require_probability()
     acc = 0.0
-    for wm, wn in zip(mu.weights, nu.weights):
-        if not wm.is_zero():
-            if wn.is_zero():
+    for m, n in zip(mu.nums, nu.nums):
+        if m:
+            if not n:
                 return math.inf
-            acc += float(wm) * _log(wm / wn)
+            acc += m / mu.den * _log(Fraction(m * nu.den, mu.den * n))
     return acc
 
 
@@ -311,9 +312,9 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     if a == 1.0:
         raise AlphaOutOfRange(f"alpha {alpha} rounds to 1 in float64")
     shared = [
-        (wm, wn)
-        for wm, wn in zip(mu.weights, nu.weights)
-        if not wm.is_zero() and not wn.is_zero()
+        (Fraction(m, mu.den), Fraction(n, nu.den))
+        for m, n in zip(mu.nums, nu.nums)
+        if m and n
     ]
     if not shared:
         return math.inf
@@ -344,7 +345,7 @@ def mgf(x: RealRV, mu: Measure, t) -> float:
 def _log_mgf(x: RealRV, mu: Measure, t: Fraction) -> Fraction:
     """log mgf(t) on a probability measure, exact past exp's range: the largest
     exponent t*v is factored out, and added back, exactly."""
-    terms = [(w, t * v) for w, v in zip(mu.weights, x.values) if not w.is_zero()]
+    terms = [(Fraction(n, mu.den), t * v) for n, v in zip(mu.nums, x.values) if n]
     top = max(e for _, e in terms)
     offsets = [_log(w) + float(max(e - top, _FLOAT_FLOOR)) for w, e in terms]
     return top + Fraction(_log_sum_exp(offsets))
@@ -613,9 +614,9 @@ def hoeffding_check(
 
     # Exact law of the variable, then n-fold convolution.
     law: dict = {}
-    for w, v in zip(mu.require_probability().weights, x.values):
-        if not w.is_zero():
-            law[v] = law.get(v, Fraction(0)) + w.as_fraction()
+    for m, v in zip(mu.require_probability().nums, x.values):
+        if m:
+            law[v] = law.get(v, Fraction(0)) + Fraction(m, mu.den)
     total = dict(law)
     for _ in range(n - 1):
         nxt: dict = {}

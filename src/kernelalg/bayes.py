@@ -63,14 +63,16 @@ def bayes_check(kappa: Kernel, mu: Measure) -> BayesReport:
     post = posterior(kappa, mu)
     evidence = comp_measure(kappa, mu)
     report = BayesReport(holds=True)
-    for yi, ev in enumerate(evidence.weights):
+    for yi, ev in enumerate(evidence.nums):
         y = evidence.space.atoms[yi]
-        if ev.is_zero():
+        if not ev:
             continue  # excluded by the almost-everywhere quantifier
         post_row = post.rows[yi]
         for xi, x in enumerate(mu.space.atoms):
-            lhs = post_row.weights[xi]
-            rhs = mu.weights[xi] * (kappa.rows[xi].weights[yi] / ev)
+            row = kappa.rows[xi]
+            # p / P == (m / M) * (k / K) / (ev / E), both sides cross-multiplied
+            lhs = post_row.nums[xi] * mu.den * row.den * ev
+            rhs = mu.nums[xi] * row.nums[yi] * evidence.den * post_row.den
             report.checked.append((y, x))
             if lhs != rhs:
                 report.failures.append((y, x))

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .exprlang import eval_expr, infer_type, parse_expr
 from .jsonio import dumps, format_float, render_value
-from .laws import run_laws
+from .laws import SUITES, run_laws
 from .measures import Kernel, Measure
 from .scalar import _format_rational
 from .sequential import sample
@@ -189,11 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run law suites on the declared objects")
     p.add_argument("file")
-    p.add_argument(
-        "--laws",
-        default="all",
-        choices=["algebra", "disintegration", "bayes", "all"],
-    )
+    p.add_argument("--laws", default="all", choices=SUITES)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="sample trajectories from a chain")

@@ -57,7 +57,7 @@ def cond_exp_kernel(mu: Measure, sigma: PartitionSigma) -> Kernel:
     block_rows = []
     for block in sigma.blocks:
         restricted = mu.restrict(block)
-        if restricted.total().is_zero():
+        if not any(restricted.nums):
             block_rows.append(uniform(space))
         else:
             block_rows.append(restricted.normalize())
@@ -144,7 +144,7 @@ def cond_indep_iff_cond_distrib(
     lifted = prod_mk_right(cond_distrib(x, z, mu), y.codomain)
     joint_mass = pushforward(mu, zy)
     rhs = all(
-        row_a.weights == row_b.weights
+        row_a == row_b
         for (_, row_a), (_, row_b) in zip(
             given_zy.support_rows(joint_mass), lifted.support_rows(joint_mass)
         )

@@ -35,10 +35,10 @@ class Measure:
     den >= 1 and gcd(den, *nums) == 1, so the zero measure has den 1.  Exact
     equality and hashing are tuple operations on it.  `weights` is the same
     row as a tuple of Scalars, built on its first read and cached, an
-    idempotent write like `_total`.
+    idempotent write.
     """
 
-    __slots__ = ("space", "nums", "den", "_weights", "_total")
+    __slots__ = ("space", "nums", "den", "_weights")
 
     def __init__(self, space: SpaceExpr, weights):
         weights = tuple(as_scalar(w) for w in weights)
@@ -52,7 +52,6 @@ class Measure:
         self.nums = tuple(w.numerator * (den // w.denominator) for w in weights)
         self.den = den
         self._weights = weights
-        self._total = None
 
     @classmethod
     def from_dict(cls, space: SpaceExpr, mapping) -> "Measure":
@@ -72,7 +71,6 @@ class Measure:
         m.nums = nums
         m.den = den
         m._weights = weights
-        m._total = None
         return m
 
     @classmethod
@@ -102,9 +100,7 @@ class Measure:
         return _ratio(sum(nums[index_of(atom)] for atom in atoms), self.den)
 
     def total(self) -> Scalar:
-        if self._total is None:
-            self._total = _ratio(sum(self.nums), self.den)
-        return self._total
+        return _ratio(sum(self.nums), self.den)
 
     def is_probability(self) -> bool:
         return sum(self.nums) == self.den
@@ -205,7 +201,7 @@ class Kernel:
 
     A deterministic kernel is held as an index map instead: one codomain atom
     index per domain atom.  Its Dirac rows are built on the first read of
-    `rows` and cached there, an idempotent write like `Measure._total`.
+    `rows` and cached there, an idempotent write like `Measure.weights`.
     Operations that special-case the map (compose, comp_measure) never build
     them.
     """
@@ -297,12 +293,12 @@ class Kernel:
 
     def finite_bound(self) -> Scalar:
         """Largest row total; 0 for a kernel from the empty space."""
-        bound = ZERO
+        num, den = 0, 1
         for row in self.rows:
-            t = row.total()
-            if t > bound:
-                bound = t
-        return bound
+            t = sum(row.nums)
+            if t * den > num * row.den:
+                num, den = t, row.den
+        return _ratio(num, den)
 
     # -- identity -----------------------------------------------------------------
 

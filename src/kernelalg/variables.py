@@ -135,11 +135,8 @@ class RealRV:
             raise SpaceMismatch(
                 f"observable on {self.domain}, measure on {measure.space}"
             )
-        total = Fraction(0)
-        for w, v in zip(measure.weights, self.values):
-            if not w.is_zero():
-                total += w.as_fraction() * v
-        return total
+        total = sum((n * v for n, v in zip(measure.nums, self.values) if n), Fraction(0))
+        return total / measure.den
 
     def items(self):
         return zip(self.domain.atoms, self.values)

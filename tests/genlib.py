@@ -14,15 +14,26 @@ import re
 from fractions import Fraction
 from itertools import product as iter_product
 
-from kernelalg.algebra import compose, copy_kernel, deterministic, fst_proj, pushforward
+from kernelalg import analytics, bayes
+from kernelalg.algebra import (
+    comp_measure,
+    compose,
+    copy_kernel,
+    deterministic,
+    fst_proj,
+    prod_mk_right,
+    pushforward,
+)
+from kernelalg.bayes import BayesReport
+from kernelalg.conditioning import cond_distrib
 from kernelalg.document import MAX_NESTING
 from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
 from kernelalg.laws import LawResult
-from kernelalg.measures import Kernel, Measure
+from kernelalg.measures import Kernel, Measure, uniform
 from kernelalg.scalar import ZERO, Scalar
 from kernelalg.sequential import SplitMix64, _RowSampler, traj_kernel
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product, format_atom
-from kernelalg.variables import RandomVariable
+from kernelalg.variables import RandomVariable, pair_rv
 
 _NAMES = iter(range(10**9))
 
@@ -204,6 +215,169 @@ def scalar_thresholds(row) -> list:
             den = den * f.denominator
         thresholds.append(-((-num << 64) // den))
     return thresholds
+
+
+# -- Scalar-view readers of rows ---------------------------------------------------
+#
+# The library's readers of a row (the float analytics, the Bayes check, the
+# disintegration laws, conditioning, means and bounds) work on nums / den.
+# These are the routes that read the Scalar views in `weights` with Scalar
+# arithmetic, kept to compare the two on random inputs.  Preconditions are the
+# caller's.
+
+
+def scalar_entropy(mu) -> float:
+    acc = 0.0
+    for w in mu.weights:
+        if not w.is_zero():
+            acc -= float(w) * analytics._log(w)
+    return acc
+
+
+def scalar_cond_entropy(x, y, mu) -> float:
+    py = pushforward(mu, y)
+    nx = x.codomain.size
+    acc = 0.0
+    for i, pab in enumerate(pushforward(mu, pair_rv(y, x)).weights):
+        if not pab.is_zero():
+            pb = py.weights[i // nx]
+            p_cond = pab / pb
+            acc -= float(pb) * float(p_cond) * analytics._log(p_cond)
+    return acc
+
+
+def scalar_kl_div(mu, nu) -> float:
+    acc = 0.0
+    for wm, wn in zip(mu.weights, nu.weights):
+        if not wm.is_zero():
+            if wn.is_zero():
+                return math.inf
+            acc += float(wm) * analytics._log(wm / wn)
+    return acc
+
+
+def scalar_renyi_div(alpha, mu, nu) -> float:
+    """renyi_div past its argument checks, on the Scalar weights of the shared support."""
+    alpha = Fraction(alpha)
+    if mu == nu:
+        return 0.0
+    a, b = float(alpha), float(1 - alpha)
+    shared = [
+        (wm, wn)
+        for wm, wn in zip(mu.weights, nu.weights)
+        if not wm.is_zero() and not wn.is_zero()
+    ]
+    if not shared:
+        return math.inf
+    if alpha > Fraction(1, 2):
+        logs = [analytics._log_near_one(wn / wm) for wm, wn in shared]
+        if b * max(abs(r) for r in logs) <= 1:
+            mass = sum(wm for wm, _ in shared)
+            excess = sum(
+                float(wm / mass) * math.expm1(b * r) for (wm, _), r in zip(shared, logs)
+            )
+            return (analytics._log_near_one(mass) + math.log1p(excess)) / -b
+    return analytics._log_sum_exp(
+        [a * analytics._log(wm) + b * analytics._log(wn) for wm, wn in shared]
+    ) / -b
+
+
+def scalar_log_mgf(x, mu, t) -> Fraction:
+    terms = [(w, t * v) for w, v in zip(mu.weights, x.values) if not w.is_zero()]
+    top = max(e for _, e in terms)
+    offsets = [
+        analytics._log(w) + float(max(e - top, analytics._FLOAT_FLOOR)) for w, e in terms
+    ]
+    return top + Fraction(analytics._log_sum_exp(offsets))
+
+
+def scalar_hoeffding_tail(x, mu, n, t) -> Fraction:
+    """P(sum of n independent copies >= t), the law summed from Scalar views."""
+    law: dict = {}
+    for w, v in zip(mu.weights, x.values):
+        if not w.is_zero():
+            law[v] = law.get(v, Fraction(0)) + w.as_fraction()
+    total = dict(law)
+    for _ in range(n - 1):
+        nxt: dict = {}
+        for s, p in total.items():
+            for v, q in law.items():
+                nxt[s + v] = nxt.get(s + v, Fraction(0)) + p * q
+        total = nxt
+    return sum((p for s, p in total.items() if s >= t), Fraction(0))
+
+
+def scalar_bayes_check(kappa, mu) -> BayesReport:
+    """bayes_check with posterior(y)(x) and mu(x) kappa(x)(y) / evidence(y) as Scalars."""
+    post = bayes.posterior(kappa, mu)
+    evidence = comp_measure(kappa, mu)
+    report = BayesReport(holds=True)
+    for yi, ev in enumerate(evidence.weights):
+        y = evidence.space.atoms[yi]
+        if ev.is_zero():
+            continue
+        post_row = post.rows[yi]
+        for xi, x in enumerate(mu.space.atoms):
+            lhs = post_row.weights[xi]
+            rhs = mu.weights[xi] * (kappa.rows[xi].weights[yi] / ev)
+            report.checked.append((y, x))
+            if lhs != rhs:
+                report.failures.append((y, x))
+                report.holds = False
+    return report
+
+
+def scalar_singular_verdicts(singular, kb) -> tuple:
+    """(rn-singular-disjoint, singular part is zero) of disintegration_laws."""
+    disjoint = all(
+        not (not ws.is_zero() and not we.is_zero())
+        for rs, re_ in zip(singular.rows, kb.rows)
+        for ws, we in zip(rs.weights, re_.weights)
+    )
+    return disjoint, all(w.is_zero() for r in singular.rows for w in r.weights)
+
+
+def scalar_cond_exp_kernel(mu, sigma) -> Kernel:
+    block_rows = []
+    for block in sigma.blocks:
+        restricted = mu.restrict(block)
+        if restricted.total().is_zero():
+            block_rows.append(uniform(mu.space))
+        else:
+            block_rows.append(restricted.normalize())
+    rows = [block_rows[sigma.block_index(a)] for a in mu.space.atoms]
+    return Kernel(mu.space, mu.space, rows)
+
+
+def scalar_cond_indep_rhs(x, y, z, mu) -> bool:
+    """The cond-distrib side of cond_indep_iff_cond_distrib, rows compared as views."""
+    zy = pair_rv(z, y)
+    given_zy = cond_distrib(x, zy, mu)
+    lifted = prod_mk_right(cond_distrib(x, z, mu), y.codomain)
+    joint_mass = pushforward(mu, zy)
+    return all(
+        row_a.weights == row_b.weights
+        for (_, row_a), (_, row_b) in zip(
+            given_zy.support_rows(joint_mass), lifted.support_rows(joint_mass)
+        )
+    )
+
+
+def scalar_mean(x, measure) -> Fraction:
+    total = Fraction(0)
+    for w, v in zip(measure.weights, x.values):
+        if not w.is_zero():
+            total += w.as_fraction() * v
+    return total
+
+
+def scalar_finite_bound(kappa) -> Scalar:
+    bound = ZERO
+    for row in kappa.rows:
+        t = scalar_total(row)
+        if t > bound:
+            bound = t
+    return bound
 
 
 # -- eager references for lazy products and their index arithmetic ---------------

@@ -18,7 +18,7 @@ from kernelalg.exprlang import OPERATORS
 from kernelalg.laws import algebra_laws, run_laws
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
-from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
+from kernelalg.spaces import UNIT, UNIT_ATOM, Base, FiniteSpace, Product
 from kernelalg.variables import RandomVariable
 
 
@@ -534,3 +534,26 @@ def test_dense_results_checked_before_building(monkeypatch):
         assert alg.comp_prod_measure(dirac(six.domain, "0"), six).space.size == 36
         with pytest.raises(KernelAlgError, match="parallel result of 12 x 12 = 144 entries"):
             alg.parallel(six, two)
+
+
+def test_compose_checked_before_building(monkeypatch):
+    """compose's dense and scatter branches multiply out |dom| x |cod| first, so a
+    discard followed by a spreading kernel is refused; the map-map and gather
+    branches build no entries and are not checked."""
+    a = Base(FiniteSpace("A", [str(i) for i in range(5000)]))
+    f = Kernel(a, UNIT, [dirac(UNIT, UNIT_ATOM)] * a.size)
+    spread = Kernel(UNIT, a, [uniform(a)])
+    pick = alg.deterministic(RandomVariable(UNIT, a, {UNIT_ATOM: "7"}))
+    with monkeypatch.context() as patch:
+        patch.setattr(alg, "_mix", None)
+        patch.setattr(alg, "_scatter", None)
+        for g in (spread, pick):
+            with pytest.raises(KernelAlgError) as exc:
+                alg.compose(g, f)
+            assert str(exc.value) == (
+                "compose result of 5000 x 5000 = 25000000 entries, above the limit "
+                f"of {alg.MAX_DENSE_ENTRIES}"
+            )
+        discard = alg.discard_kernel(a)
+        assert alg.compose(spread, discard).rows == (uniform(a),) * a.size
+        assert alg.compose(pick, discard).index_map == (7,) * a.size

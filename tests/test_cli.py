@@ -412,3 +412,24 @@ def test_dense_result_above_the_limit_refused_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "parallel result of 64000 x 64000 = 4096000000 entries, above the limit of " \
         "16777216" in err
+
+
+def test_compose_above_the_limit_refused_exit_2(capsys, tmp_path):
+    """comp(g, f) through one atom asks for 5000 x 5000 entries, which neither
+    operand holds, and is refused before any row is built."""
+    atoms = [f"a{i}" for i in range(5000)]
+    doc = tmp_path / "through_one.kd"
+    doc.write_text(
+        f"space A {{ {' '.join(atoms)} }}\n"
+        "space U { u }\n"
+        "kernel f : A -> U = {\n"
+        + "".join(f"  {a}: {{ u: 1 }}\n" for a in atoms)
+        + "}\n"
+        "kernel g : U -> A = {\n"
+        "  u: { " + ", ".join(f"{a}: 1/5000" for a in atoms) + " }\n"
+        "}\n"
+    )
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "comp(g, f)")
+    assert (code, out) == (2, "")
+    assert "compose result of 5000 x 5000 = 25000000 entries, above the limit of " \
+        "16777216" in err

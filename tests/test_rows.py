@@ -2,28 +2,66 @@
 
 Every Measure holds `nums / den` in canonical form.  The row arithmetic
 (compose and its gather/scatter, the paired rows of parallel, prod and
-comp_prod, totals and sampler thresholds) runs on those integers; here each is
-compared with the Scalar route kept in genlib, on random rows of every kind:
-empty and one-atom spaces, zero, Dirac and non-probability rows, and weights
-whose denominators are pairwise coprime and up to 10**30.
+comp_prod, totals and sampler thresholds) runs on those integers, and so does
+every reader of a row (the float analytics, the Bayes check, the
+disintegration laws, conditioning, means and bounds); `weights` is only the
+Scalar view handed to callers.  Here each is compared with the Scalar route
+kept in genlib, on random rows of every kind: empty and one-atom spaces, zero,
+Dirac and non-probability rows, weights whose denominators are pairwise
+coprime and up to 10**30, and weights of 1/10**400.
 """
 
 import random
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
+from pathlib import Path
+
+import pytest
 
 import genlib
 from genlib import compose_oracle, fresh_space, random_measure, random_probability, random_rv
 from kernelalg import algebra as alg
-from kernelalg.bayes import posterior
-from kernelalg.conditioning import cond_exp_kernel
-from kernelalg.disintegration import DensityTable, cond_kernel, singular_part, with_density
+from kernelalg import bayes, laws
+from kernelalg.analytics import (
+    PlainMeasureScope,
+    _log_mgf,
+    certify_bounded_range,
+    certify_subgaussian,
+    cond_entropy,
+    cond_kl,
+    entropy,
+    hoeffding_check,
+    kernel_entropy,
+    kl_div,
+    mgf,
+    renyi_div,
+)
+from kernelalg.bayes import bayes_check, posterior
+from kernelalg.conditioning import (
+    cond_distrib,
+    cond_exp,
+    cond_exp_kernel,
+    cond_indep_fun,
+    cond_indep_iff_cond_distrib,
+    indep_fun,
+)
+from kernelalg.disintegration import (
+    DensityTable,
+    absolutely_continuous,
+    cond_kernel,
+    singular_part,
+    with_density,
+)
+from kernelalg.document import parse_document
+from kernelalg.errors import KernelAlgError
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.sequential import _RowSampler
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
-from kernelalg.variables import PartitionSigma
+from kernelalg.variables import PartitionSigma, RealRV
+
+ROOT = Path(__file__).resolve().parent.parent
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -189,3 +227,154 @@ def test_every_constructor_is_canonical():
     for m in built:
         assert_canonical(m)
         assert Measure(m.space, m.weights) == m
+
+
+def probability_row(rng, space) -> Measure:
+    """A random_row normalized (a Dirac row if it is zero), one in five with a
+    weight of 1/10**400 put in first."""
+    row = random_row(rng, space)
+    if rng.random() < 0.2:
+        weights = list(row.weights)
+        weights[rng.randrange(space.size)] = Scalar(1, 10**400)
+        row = Measure(space, weights)
+    if not any(row.nums):
+        return dirac(space, rng.choice(space.atoms))
+    return row.normalize()
+
+
+def random_real_rv(rng, space) -> RealRV:
+    return RealRV(space, [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in space.atoms])
+
+
+def test_row_readers_match_scalar_views():
+    rng = random.Random(15)
+    for _ in range(150):
+        s, c = fresh_space(rng, 5), fresh_space(rng, 4)
+        mu = probability_row(rng, s)
+        nu = mu if rng.random() < 0.1 else probability_row(rng, s)
+        m = random_row(rng, s)
+
+        assert entropy(mu) == genlib.scalar_entropy(mu)
+        assert kl_div(mu, nu) == genlib.scalar_kl_div(mu, nu)
+        for alpha in (Fraction(1, 2), Fraction(rng.randint(1, 99), 100), 1 - Fraction(1, 10**6)):
+            assert renyi_div(alpha, mu, nu) == genlib.scalar_renyi_div(alpha, mu, nu)
+
+        x, y, z = (random_rv(rng, s, fresh_space(rng, 3)) for _ in range(3))
+        assert cond_entropy(x, y, mu) == genlib.scalar_cond_entropy(x, y, mu)
+        _, rhs = cond_indep_iff_cond_distrib(x, y, z, mu)
+        assert rhs == genlib.scalar_cond_indep_rhs(x, y, z, mu)
+        sigma = PartitionSigma.generated_by(x)
+        assert cond_exp_kernel(m, sigma) == genlib.scalar_cond_exp_kernel(m, sigma)
+
+        f = random_real_rv(rng, s)
+        assert f.mean(m) == genlib.scalar_mean(f, m)
+        for t in (Fraction(rng.randint(-40, 40), rng.randint(1, 8)), rng.randint(-10**4, 10**4)):
+            assert _log_mgf(f, mu, Fraction(t)) == genlib.scalar_log_mgf(f, mu, Fraction(t))
+        centred = RealRV(s, [v - f.mean(mu) for v in f.values])
+        sigma_sq = certify_bounded_range(centred, PlainMeasureScope(mu)).constant or 1
+        n, t = rng.randint(1, 3), Fraction(rng.randint(1, 60), rng.randint(1, 6))
+        assert hoeffding_check(centred, mu, sigma_sq, n, t).exact_tail == \
+            genlib.scalar_hoeffding_tail(centred, mu, n, t)
+
+        finite = Kernel(s, c, [random_row(rng, c) for _ in s.atoms])
+        assert finite.finite_bound() == genlib.scalar_finite_bound(finite)
+        markov = Kernel(s, c, [probability_row(rng, c) for _ in s.atoms])
+        for kappa in (markov, finite):
+            assert bayes_check(kappa, mu) == genlib.scalar_bayes_check(kappa, mu)
+
+
+def test_failed_verdicts_match_scalar_views(monkeypatch):
+    """With a wrong posterior or a foreign singular part, the Bayes check and the
+    singular-part laws fail where the Scalar routes do."""
+    rng = random.Random(16)
+    failed = 0
+    for _ in range(100):
+        s, c = fresh_space(rng, 4), fresh_space(rng, 4)
+        mu = probability_row(rng, s)
+        kappa = Kernel(s, c, [probability_row(rng, c) for _ in s.atoms])
+        wrong = Kernel(c, s, [probability_row(rng, s) for _ in c.atoms])
+        ka, kb, singular = (Kernel(s, c, [random_row(rng, c) for _ in s.atoms]) for _ in range(3))
+        with monkeypatch.context() as patch:
+            patch.setattr(bayes, "posterior", lambda k, m: wrong)
+            report = bayes_check(kappa, mu)
+            assert report == genlib.scalar_bayes_check(kappa, mu)
+            failed += not report.holds
+            patch.setattr(laws, "singular_part", lambda a, b: singular)
+            got = {r.law: r.ok for r in laws.disintegration_laws({"a": ka, "b": kb})
+                   if r.subject == "da/db"}
+        disjoint, is_zero = genlib.scalar_singular_verdicts(singular, kb)
+        assert got["rn-singular-disjoint"] == disjoint
+        assert got["rn-ac-iff-no-singular"] == (absolutely_continuous(ka, kb) == is_zero)
+    assert failed > 50
+
+
+_ARITHMETIC = (
+    "__add__", "__radd__", "__mul__", "__rmul__", "__truediv__",
+    "__lt__", "__le__", "__gt__", "__ge__",
+)
+
+
+def _attempt(fn, *args):
+    try:
+        return fn(*args)
+    except KernelAlgError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _readings(doc) -> list:
+    """Every law, analytics value, Bayes check, conditioning result, mean and
+    bound the document's declarations admit."""
+    out = [laws.run_laws("all", doc.kernels, doc.measures)]
+    out += [k.finite_bound() for k in doc.kernels.values()]
+    for mu in doc.measures.values():
+        out.append(_attempt(entropy, mu))
+        for nu in doc.measures.values():
+            if nu.space == mu.space:
+                out.append(_attempt(kl_div, mu, nu))
+                for alpha in (Fraction(1, 2), 1 - Fraction(1, 10**6)):
+                    out.append(_attempt(renyi_div, alpha, mu, nu))
+        for k in doc.kernels.values():
+            if k.domain == mu.space:
+                out.append(_attempt(bayes_check, k, mu))
+                out.append(_attempt(kernel_entropy, k, mu))
+                out.append(_attempt(cond_kl, k, k, mu))
+        rvs = [x for x in doc.rvs.values() if x.domain == mu.space]
+        sigmas = [p for p in doc.partitions.values() if p.space == mu.space]
+        sigmas += [PartitionSigma.generated_by(x) for x in rvs]
+        for x in rvs:
+            for y in rvs:
+                out.append(_attempt(cond_entropy, x, y, mu))
+                out.append(_attempt(indep_fun, x, y, mu))
+                out.append(_attempt(cond_distrib, y, x, mu))
+                out += [_attempt(cond_indep_iff_cond_distrib, x, y, z, mu) for z in rvs]
+                out += [_attempt(cond_indep_fun, x, y, sigma, mu) for sigma in sigmas]
+        for sigma in sigmas:
+            out.append(_attempt(cond_exp_kernel, mu, sigma))
+        for f in doc.realrvs.values():
+            if f.domain == mu.space:
+                out.append(f.mean(mu))
+                out += [_attempt(mgf, f, mu, t) for t in (-3, Fraction(1, 2), 2)]
+                out.append(_attempt(certify_subgaussian, f, PlainMeasureScope(mu)))
+                out.append(_attempt(hoeffding_check, f, mu, 1, 3, 1))
+                out += [_attempt(cond_exp, f, mu, sigma) for sigma in sigmas]
+    return out
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "tests" / "data").glob("*.kd")) + sorted((ROOT / "docs").glob("*.kd")),
+    ids=lambda p: p.name,
+)
+def test_row_readers_need_no_scalar_arithmetic(monkeypatch, path):
+    """Scalar is the view handed to callers: with its arithmetic and order
+    raising, every reader of a document's rows reads the same."""
+    want = _readings(parse_document(path.read_text()))
+
+    def refuse(*args):
+        raise AssertionError("Scalar arithmetic inside the library")
+
+    with monkeypatch.context() as patch:
+        for name in _ARITHMETIC:
+            patch.setattr(Scalar, name, refuse)
+        got = _readings(parse_document(path.read_text()))
+    assert got == want
