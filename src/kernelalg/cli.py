@@ -19,6 +19,7 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from .analytics import (
     KernelScope,
@@ -45,6 +46,9 @@ from .sequential import sample
 from .spaces import format_atom
 
 _LN2 = math.log(2)
+
+# Trajectories that `simulate` writes per call of stdout.write.
+_WRITE_BLOCK = 4096
 
 
 def _load(path: str):
@@ -105,13 +109,26 @@ def _cmd_simulate(args) -> int:
     chain = doc.lookup("chain", args.chain)
     initial = doc.lookup("measure", args.initial) if args.initial else None
     trajectories = sample(chain, args.n, args.seed, args.count, initial=initial)
+    # Each codomain label is formatted once; each block of lines is one write.
+    labels = {
+        a: format_atom(a) for step in chain.steps[: args.n] for a in step.codomain.atoms
+    }
+    write = sys.stdout.write
+    blocks = (
+        trajectories[i : i + _WRITE_BLOCK]
+        for i in range(0, len(trajectories), _WRITE_BLOCK)
+    )
     if args.json:
-        print(
-            dumps([[format_atom(a) for a in traj] for traj in trajectories])
-        )
+        quoted = {a: dumps(label) for a, label in labels.items()}
+        write("[")
+        for i, block in enumerate(blocks):
+            rows = map(",".join, map(map, repeat(quoted.__getitem__), block))
+            write(("," if i else "") + ",".join(map("[{}]".format, rows)))
+        write("]\n")
     else:
-        for traj in trajectories:
-            print("→".join(format_atom(a) for a in traj))
+        for block in blocks:
+            lines = map("→".join, map(map, repeat(labels.__getitem__), block))
+            write("\n".join(lines) + "\n")
     return 0
 
 

@@ -55,14 +55,13 @@ def render_value(value):
             },
         }
     if isinstance(value, Kernel):
+        labels = [format_atom(b) for b in value.codomain.atoms]
         return {
             "sort": "kernel",
             "domain": str(value.domain),
             "codomain": str(value.codomain),
             "rows": {
-                format_atom(a): {
-                    format_atom(b): t for b, t in zip(value.codomain.atoms, row._texts())
-                }
+                format_atom(a): dict(zip(labels, row._texts()))
                 for a, row in zip(value.domain.atoms, value.rows)
             },
         }

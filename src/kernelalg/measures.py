@@ -225,10 +225,6 @@ class Kernel:
         self._rows = rows
 
     @classmethod
-    def from_function(cls, domain, codomain, row_of) -> "Kernel":
-        return cls(domain, codomain, [row_of(atom) for atom in domain.atoms])
-
-    @classmethod
     def _unchecked(cls, domain, codomain, rows) -> "Kernel":
         k = object.__new__(cls)
         k.domain = domain

@@ -12,7 +12,10 @@ Sampling is reproducible by construction: the generator is splitmix64 (the
 exact algorithm is pinned below and in the README), and atoms are drawn by
 inverse CDF against thresholds computed in exact arithmetic and scaled to
 2**64, compared directly with the raw 64-bit draw.  No float is involved, so
-two runs with one seed agree bit for bit on every platform.
+two runs with one seed agree bit for bit on every platform.  splitmix64 is
+counter-based (word i is a fixed function of seed + i * gamma), so the sampler
+computes its words a block at a time with whole-integer arithmetic over
+packed lanes, and draws each step of a block of trajectories as one column.
 
 Every chain is checked before anything is built: one with more than
 MAX_CHAIN_STEPS steps, or with a history space of more than MAX_HISTORY_ATOMS
@@ -24,9 +27,11 @@ one-atom state space, whose histories never grow.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from itertools import accumulate, repeat
 from math import prod
+from operator import add, mul
 
 from .algebra import (
     _check_dense,
@@ -70,12 +75,51 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+# Words per packed block: SplitMix64.take computes this many at once, and
+# sample draws the trajectories that fit in one block together.
+_CHUNK = 2048
+# (ones, gamma ramp, low-word mask) over _CHUNK 128-bit lanes, built on first use
+_lanes = None
+
+
+def _lane_constants():
+    global _lanes
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _CHUNK, "little")
+    ramp = int.from_bytes(
+        b"".join((i * _GAMMA).to_bytes(16, "little") for i in range(1, _CHUNK + 1)),
+        "little",
+    )
+    low = int.from_bytes((b"\xff" * 8 + bytes(8)) * _CHUNK, "little")
+    _lanes = ones, ramp, low
+    return _lanes
+
+
+def _low_words(z: int, byteorder: str):
+    """The low 64 bits of each 128-bit lane of z, lane 0 first, as read by a
+    host of the given byte order."""
+    words = memoryview(z.to_bytes(16 * _CHUNK, byteorder)).cast("Q")
+    # little: lo_0, hi_0, lo_1, ...; big: hi_last, lo_last, ..., hi_0, lo_0
+    return words[::2] if byteorder == "little" else words[::-2]
+
+
+def _block(state: int):
+    """The _CHUNK words that follow `state`.  Lane i holds state + (i+1) * gamma
+    and goes through the finalizer in place: every value is masked to its
+    lane's low 64 bits before a multiply, so no carry crosses a lane."""
+    ones, ramp, low = _lanes or _lane_constants()
+    z = (state * ones + ramp) & low
+    z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+    z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+    return _low_words(z ^ (z >> 31), sys.byteorder)
+
+
 class SplitMix64:
     """The splitmix64 generator: 64-bit state, 64-bit output words.
 
     next_u64 advances the state by the golden-gamma increment and applies the
     standard two-round xor-shift-multiply finalizer.  Seed 0 produces the
     well-known first outputs 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
+    take(k) returns the next k words at once, the same as k calls of next_u64.
     """
 
     __slots__ = ("seed", "state")
@@ -95,19 +139,36 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
+    def take(self, k: int) -> list:
+        """The next k words, computed a packed block at a time."""
+        if k < 0:
+            raise ValueError("word count must be nonnegative")
+        out = []
+        state = self.state
+        for done in range(0, k, _CHUNK):
+            m = min(_CHUNK, k - done)
+            out += _block(state)[:m].tolist()
+            state = (state + m * _GAMMA) & _MASK
+        self.state = state
+        return out
 
-class _RowSampler:
-    """Inverse-CDF thresholds of a probability row, scaled to 2**64."""
 
-    __slots__ = ("thresholds",)
+def _thresholds(row: Measure) -> list:
+    """Inverse-CDF thresholds of a probability row: ceil(cumulative * 2**64),
+    exact, so atom j is drawn for a word u with thresholds[j-1] <= u < thresholds[j]."""
+    den = row.den
+    return [-((-cum << 64) // den) for cum in accumulate(row.nums)]
 
-    def __init__(self, row: Measure):
-        # threshold = ceil(cumulative * 2**64), exact
-        den = row.den
-        self.thresholds = [-((-cum << 64) // den) for cum in accumulate(row.nums)]
 
-    def draw(self, u: int) -> int:
-        return bisect_right(self.thresholds, u)
+def _row_tables(rows, built: dict) -> list:
+    """The thresholds of every row, one table per distinct row object.  `built`
+    maps id(row) to its table across the steps of one sample call; the chain
+    keeps every row alive, so id() is stable."""
+    ids = list(map(id, rows))
+    distinct = dict(zip(ids, rows))
+    for key in distinct.keys() - built.keys():
+        built[key] = _thresholds(distinct[key])
+    return list(map(built.__getitem__, ids))
 
 
 def _check_chain_sizes(start: SpaceExpr, outs, count: int):
@@ -269,26 +330,24 @@ def sample(
     init.require_probability()
 
     rng = SplitMix64(seed)
-    init_sampler = _RowSampler(init)
-    # One sampler per distinct row object; the chain's steps keep every row
-    # alive, so id() is stable.  A homogeneous chain has |S| distinct rows.
-    samplers: dict[int, _RowSampler] = {}
+    width = n + 1  # words per trajectory: the start, then one per step
+    start = _thresholds(init)
+    built: dict[int, list] = {}
     plan = [
-        (step.rows, step.codomain.size, step.codomain.atoms)
+        (_row_tables(step.rows, built), step.codomain.size, step.codomain.atoms)
         for step in chain.steps[:n]
     ]
+    per_block = max(1, _CHUNK // width)
     out = []
-    for _ in range(count):
-        # h is the row-major index of the history drawn so far
-        h = init_sampler.draw(rng.next_u64())
-        traj = []
-        for rows, size, atoms in plan:
-            row = rows[h]
-            sampler = samplers.get(id(row))
-            if sampler is None:
-                sampler = samplers[id(row)] = _RowSampler(row)
-            j = sampler.draw(rng.next_u64())
-            traj.append(atoms[j])
-            h = h * size + j
-        out.append(tuple(traj))
+    for done in range(0, count, per_block):
+        b = min(per_block, count - done)
+        words = rng.take(b * width)
+        # hs[t] is the row-major index of trajectory t's history drawn so far
+        hs = list(map(bisect_right, repeat(start, b), words[::width]))
+        columns = []
+        for i, (tables, size, atoms) in enumerate(plan, 1):
+            js = list(map(bisect_right, map(tables.__getitem__, hs), words[i::width]))
+            columns.append(map(atoms.__getitem__, js))
+            hs = list(map(add, map(mul, hs, repeat(size)), js))
+        out += zip(*columns)
     return out

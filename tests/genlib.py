@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import product as iter_product
 
@@ -31,7 +32,7 @@ from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
 from kernelalg.laws import LawResult
 from kernelalg.measures import Kernel, Measure, uniform
 from kernelalg.scalar import ZERO, Scalar
-from kernelalg.sequential import SplitMix64, _RowSampler, traj_kernel
+from kernelalg.sequential import SplitMix64, _thresholds, traj_kernel
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product, format_atom
 from kernelalg.variables import RandomVariable, pair_rv
 
@@ -492,6 +493,50 @@ def table_snd(left, right) -> Kernel:
 
 def table_rebracket(src, dst) -> Kernel:
     return _table_map(src, dst, lambda t: build_atom(dst, flatten_atom(src, t)))
+
+
+class _RowSampler:
+    """Inverse-CDF draws of one row: the sampler's per-row object before block
+    sampling, kept for the per-trajectory references below."""
+
+    __slots__ = ("thresholds",)
+
+    def __init__(self, row: Measure):
+        self.thresholds = _thresholds(row)
+
+    def draw(self, u: int) -> int:
+        return bisect_right(self.thresholds, u)
+
+
+def reference_sample(chain, n, seed, count, initial=None):
+    """`sequential.sample` as a per-trajectory loop: one next_u64 per draw, the
+    history as its row-major index, one sampler per distinct row object.  The
+    library draws the same words a packed block and a column at a time."""
+    init = initial if initial is not None else chain.initial
+    if init is None:
+        raise KernelAlgError("chain has no initial distribution to sample from")
+    rng = SplitMix64(seed)
+    init_sampler = _RowSampler(init)
+    samplers = {}
+    plan = [
+        (step.rows, step.codomain.size, step.codomain.atoms)
+        for step in chain.steps[:n]
+    ]
+    out = []
+    for _ in range(count):
+        # h is the row-major index of the history drawn so far
+        h = init_sampler.draw(rng.next_u64())
+        traj = []
+        for rows, size, atoms in plan:
+            row = rows[h]
+            sampler = samplers.get(id(row))
+            if sampler is None:
+                sampler = samplers[id(row)] = _RowSampler(row)
+            j = sampler.draw(rng.next_u64())
+            traj.append(atoms[j])
+            h = h * size + j
+        out.append(tuple(traj))
+    return out
 
 
 def sample_oracle(chain, n, seed, count, initial=None):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import sys
 from decimal import Decimal
@@ -5,8 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from kernelalg import sequential
+from genlib import reference_sample
+from kernelalg import cli, sequential
 from kernelalg.cli import main
+from kernelalg.document import parse_document
+from kernelalg.jsonio import dumps
+from kernelalg.spaces import format_atom
 
 DATA = Path(__file__).parent / "data"
 DOCS = Path(__file__).parent.parent / "docs"
@@ -123,6 +128,52 @@ def test_simulate_json(capsys):
     assert code == 0
     trajs = json.loads(out)
     assert len(trajs) == 2 and all(len(t) == 2 for t in trajs)
+
+
+def simulate_outputs(capsys, argv):
+    """simulate's text and --json stdout for one argument list."""
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    code, as_json, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    return text, as_json
+
+
+def reference_outputs(chain, n, seed, count, initial=None):
+    """The text and --json renderings of reference_sample's trajectories."""
+    want = reference_sample(chain, n, seed, count, initial)
+    text = "".join("→".join(map(format_atom, t)) + "\n" for t in want)
+    return text, dumps([[format_atom(a) for a in t] for t in want]) + "\n"
+
+
+def test_simulate_output_renders_reference_sampler(capsys):
+    # Every chain in tests/data at every horizon, with its own initial if it
+    # has one and every measure on its start space as an override.
+    cases = 0
+    for path in sorted(DATA.rglob("*.kd")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        for name, chain in doc.chains.items():
+            inits = [None] if chain.initial is not None else []
+            inits += [m for m, mu in doc.measures.items() if mu.space == chain.start]
+            for n, init, count in itertools.product(range(1, len(chain) + 1), inits, (0, 1, 5)):
+                argv = ["simulate", str(path), "--chain", name, "-n", str(n),
+                        "--seed", "7", "--count", str(count)]
+                argv += ["--initial", init] if init else []
+                initial = doc.measures[init] if init else None
+                assert simulate_outputs(capsys, argv) == reference_outputs(
+                    chain, n, 7, count, initial
+                )
+                cases += 1
+    assert cases > 0
+
+
+def test_simulate_output_spans_several_writes(capsys):
+    path = DATA / "06_three_state.kd"
+    seed, count = (1 << 64) - 1, 2 * cli._WRITE_BLOCK + 1
+    argv = ["simulate", str(path), "--chain", "walk", "-n", "2",
+            "--seed", str(seed), "--count", str(count)]
+    chain = parse_document(path.read_text(encoding="utf-8")).chains["walk"]
+    assert simulate_outputs(capsys, argv) == reference_outputs(chain, 2, seed, count)
 
 
 def test_simulate_steps_chain_needs_initial(capsys):

@@ -57,7 +57,7 @@ from kernelalg.document import parse_document
 from kernelalg.errors import KernelAlgError
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, ZERO, Scalar
-from kernelalg.sequential import _RowSampler
+from kernelalg.sequential import _thresholds
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
 from kernelalg.variables import PartitionSigma, RealRV
 
@@ -125,7 +125,7 @@ def assert_same_row(got: Measure, want: Measure):
     assert_canonical(got)
     assert got.weights == want.weights
     assert got == want and hash(got) == hash(want)
-    assert _RowSampler(got).thresholds == genlib.scalar_thresholds(want)
+    assert _thresholds(got) == genlib.scalar_thresholds(want)
     assert got.total() == genlib.scalar_total(want)
     assert got.is_probability() == (genlib.scalar_total(want) == ONE)
 

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,7 @@ from genlib import (
     fresh_space,
     random_markov_kernel,
     random_probability,
+    reference_sample,
     sample_oracle,
     weather_kernel,
 )
@@ -69,6 +71,47 @@ def test_splitmix64_step_by_step_oracle():
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     expected = z ^ (z >> 31)
     assert SplitMix64(42).next_u64() == expected
+
+
+TAKE_SEEDS = [0, 1, (1 << 64) - 1, (1 << 64) - 0x9E3779B97F4A7C15]
+TAKE_COUNTS = [
+    0, 1, sequential._CHUNK - 1, sequential._CHUNK, sequential._CHUNK + 1,
+    3 * sequential._CHUNK + 2,
+]
+
+
+@pytest.mark.parametrize("seed", TAKE_SEEDS)
+def test_take_equals_next_u64_calls(seed):
+    for k in TAKE_COUNTS:
+        block, single = SplitMix64(seed), SplitMix64(seed)
+        block.next_u64()
+        single.next_u64()
+        assert block.take(k) == [single.next_u64() for _ in range(k)]
+        assert block.state == single.state
+        assert block.next_u64() == single.next_u64()
+
+
+def test_take_pinned_first_words_and_validation():
+    rng = SplitMix64(0)
+    assert rng.take(3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert rng.take(0) == [] and rng.state == 3 * 0x9E3779B97F4A7C15 % (1 << 64)
+    with pytest.raises(ValueError):
+        rng.take(-1)
+
+
+@pytest.mark.parametrize("byteorder", ["little", "big"])
+def test_low_words_decoding_on_either_byte_order(byteorder):
+    # Lane i holds word i in its low 64 bits and noise above; a host of the
+    # given byte order reads the words back in lane order.  On a host of the
+    # other order each decoded word comes out byte-swapped, so swap it back.
+    rng = random.Random(7)
+    chunk = sequential._CHUNK
+    words = [rng.getrandbits(64) for _ in range(chunk)]
+    z = sum((rng.getrandbits(64) << 64 | w) << (128 * i) for i, w in enumerate(words))
+    got = sequential._low_words(z, byteorder).tolist()
+    if byteorder != sys.byteorder:
+        got = [int.from_bytes(w.to_bytes(8, "little"), "big") for w in got]
+    assert got == words
 
 
 def test_seed_validation():
@@ -292,6 +335,10 @@ def test_empirical_distribution_approaches_law():
 
 
 def test_sample_matches_dict_keyed_oracle():
+    # Both references draw one next_u64 per atom, trajectory by trajectory;
+    # sample draws a packed block of words and one column per step.  Counts
+    # sit at the edges of one block of trajectories, at every horizon, with
+    # the chain's own initial and an override.
     rng = random.Random(60)
     for _ in range(20):
         s = fresh_space(rng, 4)
@@ -303,10 +350,13 @@ def test_sample_matches_dict_keyed_oracle():
             seed = rng.getrandbits(64)
             inits = [other] if chain.initial is None else [None, other]
             for n in range(1, len(chain) + 1):
+                block = sequential._CHUNK // (n + 1)
                 for init in inits:
-                    got = sample(chain, n, seed, 40, init)
-                    assert got == sample_oracle(chain, n, seed, 40, init)
-                assert sample(chain, n, seed, 0, other) == [] == sample_oracle(chain, n, seed, 0, other)
+                    for count in (0, 1, 40, block - 1, block, block + 1):
+                        got = sample(chain, n, seed, count, init)
+                        assert got == reference_sample(chain, n, seed, count, init)
+                        assert got == sample_oracle(chain, n, seed, count, init)
+                        assert all(type(t) is tuple and len(t) == n for t in got)
 
 
 def test_long_markov_chain_declares_fast_and_samples_like_oracle():
