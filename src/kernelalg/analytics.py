@@ -199,16 +199,6 @@ class KLChainRuleReport:
     additive_form_holds: bool
     comp_prod_form_holds: bool
 
-    def as_dict(self):
-        return {
-            "joint": self.joint,
-            "marginal": self.marginal,
-            "conditional": self.conditional,
-            "jointConditional": self.joint_conditional,
-            "additiveFormHolds": self.additive_form_holds,
-            "compProdFormHolds": self.comp_prod_form_holds,
-        }
-
 
 def kl_chain_rule(mu: Measure, nu: Measure, kappa: Kernel, eta: Kernel) -> KLChainRuleReport:
     """Evaluate both chain-rule decompositions of a joint KL divergence.
@@ -243,16 +233,6 @@ class DataProcessingReport:
     joint: float
     dpi_holds: bool
     conditioning_holds: bool
-
-    def as_dict(self):
-        return {
-            "divergence": self.divergence,
-            "processed": self.processed,
-            "original": self.original,
-            "joint": self.joint,
-            "dpiHolds": self.dpi_holds,
-            "conditioningHolds": self.conditioning_holds,
-        }
 
 
 def data_processing(

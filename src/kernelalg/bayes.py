@@ -8,7 +8,6 @@ from .algebra import comp_measure, comp_prod_measure, swap_kernel
 from .disintegration import cond_kernel_measure
 from .errors import SpaceMismatch
 from .measures import Kernel, Measure
-from .spaces import format_atom
 
 __all__ = ["posterior", "bayes_check", "BayesReport"]
 
@@ -39,17 +38,6 @@ class BayesReport:
     holds: bool
     checked: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-
-    def as_dict(self):
-        return {
-            "holds": self.holds,
-            "checkedAtoms": [
-                [format_atom(y), format_atom(x)] for (y, x) in self.checked
-            ],
-            "failures": [
-                [format_atom(y), format_atom(x)] for (y, x) in self.failures
-            ],
-        }
 
 
 def bayes_check(kappa: Kernel, mu: Measure) -> BayesReport:

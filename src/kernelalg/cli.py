@@ -29,7 +29,7 @@ from .analytics import (
     hoeffding_check,
 )
 from .disintegration import DensityTable
-from .document import _weights_body, parse_document
+from .document import _labels, _weights_body, parse_document
 from .errors import (
     DocumentError,
     GridViolation,
@@ -68,13 +68,14 @@ def _print_value(value, as_json: bool, log2: bool = False):
         return
     if isinstance(value, Kernel):
         print(f"kernel : {value.domain} -> {value.codomain}")
-        for atom, row in zip(value.domain.atoms, value.rows):
-            print(f"  {format_atom(atom)}: " + _weights_body(value.codomain, row._texts()))
+        labels = _labels(value.codomain)
+        for label, row in zip(_labels(value.domain), value.rows):
+            print(f"  {label}: " + _weights_body(labels, row._texts()))
     elif isinstance(value, Measure):
-        print(f"measure on {value.space} = " + _weights_body(value.space, value._texts()))
+        print(f"measure on {value.space} = " + _weights_body(_labels(value.space), value._texts()))
     elif isinstance(value, DensityTable):
         texts = map(_format_rational, value.values)
-        print(f"density on {value.domain} = " + _weights_body(value.domain, texts))
+        print(f"density on {value.domain} = " + _weights_body(_labels(value.domain), texts))
     elif isinstance(value, bool):
         print("true" if value else "false")
     elif isinstance(value, float):

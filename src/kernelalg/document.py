@@ -492,9 +492,14 @@ _PARSERS = {
 # -- serialization -----------------------------------------------------------------
 
 
-def _weights_body(space, texts) -> str:
-    """`{ atom: p/q, ... }` of printed rationals listed in the space's atom order."""
-    body = ", ".join(f"{format_atom(a)}: {t}" for a, t in zip(space.atoms, texts))
+def _labels(space) -> list:
+    """Every atom of the space as the writers print it, in atom order."""
+    return [format_atom(a) for a in space.atoms]
+
+
+def _weights_body(labels, texts) -> str:
+    """`{ atom: p/q, ... }` of printed labels and rationals, paired in order."""
+    body = ", ".join(f"{label}: {t}" for label, t in zip(labels, texts))
     return "{ " + body + " }"
 
 
@@ -508,15 +513,13 @@ def serialize_document(doc: Document) -> str:
         elif sort == "measure":
             chunks.append(
                 f"measure {name} on {obj.space} = "
-                + _weights_body(obj.space, obj._texts())
+                + _weights_body(_labels(obj.space), obj._texts())
             )
         elif sort == "kernel":
             lines = [f"kernel {name} : {obj.domain} -> {obj.codomain} = {{"]
-            for atom, row in zip(obj.domain.atoms, obj.rows):
-                lines.append(
-                    f"  {format_atom(atom)}: "
-                    + _weights_body(obj.codomain, row._texts())
-                )
+            labels = _labels(obj.codomain)
+            for label, row in zip(_labels(obj.domain), obj.rows):
+                lines.append(f"  {label}: " + _weights_body(labels, row._texts()))
             lines.append("}")
             chunks.append("\n".join(lines))
         elif sort == "rv":
@@ -529,7 +532,7 @@ def serialize_document(doc: Document) -> str:
         elif sort == "realrv":
             chunks.append(
                 f"realrv {name} on {obj.domain} = "
-                + _weights_body(obj.domain, map(_format_rational, obj.values))
+                + _weights_body(_labels(obj.domain), map(_format_rational, obj.values))
             )
         elif sort == "partition":
             blocks = " ".join(

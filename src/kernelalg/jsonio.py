@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .disintegration import DensityTable
 from .measures import Kernel, Measure
-from .scalar import Scalar, _format_rational
+from .scalar import _format_rational
 from .spaces import format_atom
 
 
@@ -37,7 +37,7 @@ def dumps(tree) -> str:
         return format_float(tree)
     if isinstance(tree, int):
         return str(tree)
-    if isinstance(tree, (Fraction, Scalar)):
+    if isinstance(tree, Fraction):
         return json.dumps(_format_rational(tree))
     if tree is None:
         return "null"
@@ -74,10 +74,4 @@ def render_value(value):
                 for a, v in zip(value.domain.atoms, value.values)
             },
         }
-    if isinstance(value, bool) or isinstance(value, float):
-        return value
-    if isinstance(value, (Fraction, Scalar)):
-        return _format_rational(value)
-    if hasattr(value, "as_dict"):
-        return value.as_dict()
     return value

@@ -21,7 +21,7 @@ from .errors import (
     NotMarkov,
     SpaceMismatch,
 )
-from .scalar import ONE, ZERO, Scalar, _format_ratio, _ratio, _views, as_scalar
+from .scalar import ONE, ZERO, Scalar, _checked, _format_ratio, _ratio, _views
 from .spaces import SpaceExpr, format_atom
 
 __all__ = ["Measure", "Kernel", "dirac", "uniform", "zero_measure"]
@@ -35,29 +35,31 @@ class Measure:
     den >= 1 and gcd(den, *nums) == 1, so the zero measure has den 1.  Exact
     equality and hashing are tuple operations on it.  `weights` is the same
     row as a tuple of Scalars, built on its first read and cached, an
-    idempotent write.
+    idempotent write.  The constructor takes ints and Fractions, refuses
+    anything else with TypeError and a negative weight with NegativeScalar,
+    and builds no Scalar.
     """
 
     __slots__ = ("space", "nums", "den", "_weights")
 
     def __init__(self, space: SpaceExpr, weights):
-        weights = tuple(as_scalar(w) for w in weights)
-        if len(weights) != space.size:
+        pairs = tuple(map(_checked, weights))
+        if len(pairs) != space.size:
             raise DimensionMismatch(
-                f"space {space} has {space.size} atoms, got {len(weights)} weights"
+                f"space {space} has {space.size} atoms, got {len(pairs)} weights"
             )
         # lowest-terms weights over the lcm of their denominators share no factor
-        den = lcm(*(w.denominator for w in weights))
+        den = lcm(*(d for _, d in pairs))
         self.space = space
-        self.nums = tuple(w.numerator * (den // w.denominator) for w in weights)
+        self.nums = tuple(n * (den // d) for n, d in pairs)
         self.den = den
-        self._weights = weights
+        self._weights = None
 
     @classmethod
     def from_dict(cls, space: SpaceExpr, mapping) -> "Measure":
         """Build from an atom->weight mapping; missing atoms get weight 0."""
         mapping = dict(mapping)
-        weights = [mapping.pop(atom, ZERO) for atom in space.atoms]
+        weights = [mapping.pop(atom, 0) for atom in space.atoms]
         if mapping:
             stray = ", ".join(format_atom(a) for a in mapping)
             raise SpaceMismatch(f"atoms not in {space}: {stray}")

@@ -1,12 +1,11 @@
 """Exact finite nonnegative rational scalars.
 
-All measure weights, kernel entries and density values in this package are
-Scalars.  Arithmetic is exact: results are rationals in lowest terms, and the
-algebraic identities the rest of the package relies on (associativity,
-distributivity, exact comparison) hold with equality, never within a
-tolerance.  Division by zero raises Python's ZeroDivisionError; every formula
-in this package checks its divisor first, so hitting it means a logic error
-upstream.
+A Scalar is a `fractions.Fraction` that is known to be nonnegative: the sign
+is checked once, at construction, and everything else (arithmetic, exact
+comparison, equality and hashing with ints and Fractions) is Fraction's.  So
+a sum or quotient of two Scalars is a plain Fraction.  The library computes
+on integer rows (`Measure.nums` over `Measure.den`); Scalar is only the view
+of a weight handed to callers.
 """
 
 from __future__ import annotations
@@ -19,100 +18,47 @@ from .errors import NegativeScalar
 
 __all__ = ["Scalar", "ZERO", "ONE", "as_scalar"]
 
+_EXACT = (int, Fraction)
 
-class Scalar:
-    """A nonnegative rational number, kept as two ints in lowest terms.
 
-    `numerator` and `denominator` are plain slots, read like Fraction's and
-    never written after construction.  Every operation costs one gcd; no
-    Fraction is built unless as_fraction() asks for one.
+class Scalar(Fraction):
+    """A nonnegative rational number: a Fraction whose sign was checked.
+
+    Scalar(n, d) takes ints and Fractions, as Fraction does; a float, str or
+    Decimal is refused with TypeError, and a negative value with
+    NegativeScalar.
     """
 
-    __slots__ = ("numerator", "denominator")
+    __slots__ = ()
 
-    def __init__(self, numerator=0, denominator=1):
-        if isinstance(numerator, Scalar):
-            self.numerator, self.denominator = numerator.numerator, numerator.denominator
-            return
-        if type(numerator) is int and type(denominator) is int:
-            if denominator == 0:
-                raise ZeroDivisionError(f"Fraction({numerator}, 0)")
-            if denominator < 0:
-                numerator, denominator = -numerator, -denominator
-            g = gcd(numerator, denominator)
-            n, d = numerator // g, denominator // g
-        elif isinstance(numerator, Fraction) and denominator == 1:
-            n, d = numerator.numerator, numerator.denominator
-        else:
-            frac = Fraction(numerator, denominator)
-            n, d = frac.numerator, frac.denominator
-        if n < 0:
-            raise NegativeScalar(f"scalar must be nonnegative, got {_format_ratio(n, d)}")
-        self.numerator = n
-        self.denominator = d
+    # Fraction's numerator and denominator are properties, a Python call per
+    # read (about four times a slot read); these descriptors read the same
+    # two slots directly.
+    numerator = Fraction._numerator
+    denominator = Fraction._denominator
 
-    # -- predicates and views --------------------------------------------
+    def __new__(cls, numerator=0, denominator=None):
+        for value in (numerator, denominator):
+            if value is not None and not isinstance(value, _EXACT):
+                raise TypeError(f"cannot interpret {value!r} as a scalar")
+        self = super().__new__(cls, numerator, denominator)
+        if self._numerator < 0:
+            raise NegativeScalar(f"scalar must be nonnegative, got {self}")
+        return self
 
     def is_zero(self) -> bool:
-        return self.numerator == 0
+        return self._numerator == 0
 
     def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __float__(self) -> float:
-        return self.numerator / self.denominator
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        other = as_scalar(other)
-        a, b, c, d = self.numerator, self.denominator, other.numerator, other.denominator
-        return _ratio(a * d + c * b, b * d)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: "Scalar") -> "Scalar":
-        other = as_scalar(other)
-        return _ratio(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        num, den = _cross(self, as_scalar(other))
-        if den == 0:
-            raise ZeroDivisionError(f"Fraction({num}, 0)")
-        return _ratio(num, den)
-
-    # -- exact total order --------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.numerator == other.numerator and self.denominator == other.denominator
-
-    def __hash__(self):
-        return hash(("kernelalg.Scalar", self.numerator, self.denominator))
-
-    def __lt__(self, other):
-        a, b = _cross(self, as_scalar(other))
-        return a < b
-
-    def __le__(self, other):
-        a, b = _cross(self, as_scalar(other))
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = _cross(self, as_scalar(other))
-        return a > b
-
-    def __ge__(self, other):
-        a, b = _cross(self, as_scalar(other))
-        return a >= b
-
-    # -- formatting ---------------------------------------------------------
+        return Fraction(self._numerator, self._denominator)
 
     def __str__(self) -> str:
-        return _format_ratio(self.numerator, self.denominator)
+        return _format_ratio(self._numerator, self._denominator)
+
+    def __format__(self, spec: str) -> str:
+        # From Python 3.13 Fraction formats an empty spec through str() of its
+        # ints, which stops at sys.get_int_max_str_digits() digits.
+        return str(self) if not spec else super().__format__(spec)
 
     def __repr__(self) -> str:
         return f"Scalar({self})"
@@ -133,18 +79,15 @@ def _format_ratio(num: int, den: int) -> str:
     return f"{Decimal(num)}/{Decimal(den)}"
 
 
-def _cross(p: Scalar, q: Scalar):
-    """(p.numerator * q.denominator, q.numerator * p.denominator): the
-    numerator and denominator of p / q, and the two sides of p <=> q."""
-    return p.numerator * q.denominator, q.numerator * p.denominator
-
-
 def _ratio(num: int, den: int) -> Scalar:
-    """The Scalar num/den of ints num >= 0 and den >= 1, reduced by one gcd."""
+    """The Scalar num/den of ints num >= 0 and den >= 1, reduced by one gcd.
+
+    The two slots are set directly, as Fraction's own constructor for coprime
+    ints does, so no Fraction.__new__ runs."""
     g = gcd(num, den)
     s = object.__new__(Scalar)
-    s.numerator = num // g
-    s.denominator = den // g
+    s._numerator = num // g
+    s._denominator = den // g
     return s
 
 
@@ -159,14 +102,22 @@ def _views(nums, den: int) -> tuple:
     return tuple(map(seen.__getitem__, nums))
 
 
+def _checked(value) -> tuple:
+    """(numerator, denominator) of an int or Fraction value, checked nonnegative."""
+    if not isinstance(value, _EXACT):
+        raise TypeError(f"cannot interpret {value!r} as a scalar")
+    n, d = value.numerator, value.denominator
+    if n < 0:
+        raise NegativeScalar(f"scalar must be nonnegative, got {_format_ratio(n, d)}")
+    return n, d
+
+
 def as_scalar(value) -> Scalar:
-    """Coerce an int, Fraction or Scalar to a Scalar."""
-    if isinstance(value, Scalar):
+    """An int, Fraction or Scalar as a Scalar, checked nonnegative."""
+    if type(value) is Scalar:
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
-    raise TypeError(f"cannot interpret {value!r} as a scalar")
+    return _ratio(*_checked(value))
 
 
-ZERO = Scalar(0)
-ONE = Scalar(1)
+ZERO = _ratio(0, 1)
+ONE = _ratio(1, 1)

@@ -43,14 +43,6 @@ class FiniteSpace:
         self.name = name
         self.labels = labels
 
-    def __eq__(self, other):
-        if not isinstance(other, FiniteSpace):
-            return NotImplemented
-        return self.name == other.name and self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.name, self.labels))
-
     def __repr__(self):
         return f"FiniteSpace({self.name!r}, {list(self.labels)!r})"
 

@@ -113,19 +113,6 @@ class RealRV:
         self.domain = domain
         self.values = values
 
-    @classmethod
-    def from_dict(cls, domain, mapping) -> "RealRV":
-        mapping = dict(mapping)
-        values = [mapping.pop(a, Fraction(0)) for a in domain.atoms]
-        if mapping:
-            raise SpaceMismatch(
-                "values given for atoms outside "
-                + str(domain)
-                + ": "
-                + ", ".join(format_atom(a) for a in mapping)
-            )
-        return cls(domain, values)
-
     def value(self, atom) -> Fraction:
         return self.values[self.domain.index_of(atom)]
 
@@ -137,9 +124,6 @@ class RealRV:
             )
         total = sum((n * v for n, v in zip(measure.nums, self.values) if n), Fraction(0))
         return total / measure.den
-
-    def items(self):
-        return zip(self.domain.atoms, self.values)
 
     def __eq__(self, other):
         if not isinstance(other, RealRV):

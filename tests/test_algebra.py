@@ -398,6 +398,22 @@ def test_deterministic_equals_and_hashes_like_its_dense_twin():
     assert Kernel(w, UNIT, [dirac(UNIT, "()")] * w.size) == alg.discard_kernel(w)
 
 
+def test_lifts_of_a_map_stay_maps_equal_to_their_dense_twins():
+    rng = random.Random(44)
+    for _ in range(40):
+        x, y, extra = fresh_space(rng), fresh_space(rng), fresh_space(rng, 3)
+        f = genlib.random_rv(rng, x, y)
+        for lift in (
+            lambda k: alg.prod_mk_right(k, extra),
+            lambda k: alg.prod_mk_left(extra, k),
+        ):
+            lifted, twin = lift(alg.deterministic(f)), lift(dense_twin(f))
+            assert lifted.index_map is not None and twin.index_map is None
+            assert lifted == twin and twin == lifted
+            assert hash(lifted) == hash(twin)
+            assert lifted.rows == twin.rows
+
+
 # -- structural maps by index arithmetic against their atom tables ------------
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -592,6 +593,30 @@ def test_hoeffding_grid_of_thresholds():
             report = hoeffding_check(x2, mu2, sigma_sq, n, t)
             assert report.holds, (n, t)
             t += Fraction(1, 2)
+
+
+def test_hoeffding_falls_back_to_the_grid_below_the_range_constant():
+    # -1, 0, 1 with probabilities 1/8, 3/4, 1/8: mean 0, variance 1/4 and
+    # bounded-range constant 1; mgf(t) = 3/4 + cosh(t) / 4 <= exp(t^2 / 4)
+    s = Base(FiniteSpace("S", ["lo", "mid", "hi"]))
+    x = RealRV(s, [-1, 0, 1])
+    mu = Measure(s, [Fraction(1, 8), Fraction(3, 4), Fraction(1, 8)])
+    assert certify_bounded_range(x, PlainMeasureScope(mu)).constant == 1
+    report = hoeffding_check(x, mu, Fraction(1, 2), 6, 3)
+    assert report.certificate.method == ("gridCheck", 10, Fraction(1, 100))
+    assert report.certificate.constant == Fraction(1, 2)
+    law = dict(zip(x.values, mu.weights))
+    want = sum(
+        math.prod(law[v] for v in draws)
+        for draws in itertools.product(x.values, repeat=6)
+        if sum(draws) >= 3
+    )
+    assert report.exact_tail == want
+    assert abs(report.bound - math.exp(-1.5)) < 1e-15
+    assert report.holds
+    # below the variance the grid finds a violation, and nothing certifies
+    with pytest.raises(NotCertified, match="mgf bound violated"):
+        hoeffding_check(x, mu, Fraction(1, 8), 6, 3)
 
 
 # -- the exact-to-float boundary against the earlier float() routes ----------------------

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 
 from genlib import reference_sample
-from kernelalg import cli, sequential
+from kernelalg import cli, document, sequential
 from kernelalg.cli import main
-from kernelalg.document import parse_document
+from kernelalg.document import Document, parse_document, serialize_document
 from kernelalg.jsonio import dumps
 from kernelalg.spaces import format_atom
 
@@ -264,6 +264,79 @@ def test_certify_grid_too_fine_exit_2(capsys):
         "error: grid of 20000000001 points on [-10, 10] exceeds the limit of "
         "100000 points; use a larger step\n"
     )
+
+
+KERNEL_SCOPE = (
+    "space A { a b c }\n"
+    "space S { lo mid hi }\n"
+    "measure mu on A = { a: 1/3, b: 2/3, c: 0 }\n"
+    "measure spread on S = { lo: 1/8, mid: 3/4, hi: 1/8 }\n"
+    "kernel k : A -> S = {\n"
+    "  a: { lo: 1/2, mid: 0, hi: 1/2 }\n"
+    "  b: { lo: 1/8, mid: 3/4, hi: 1/8 }\n"
+    "  c: { lo: 0, mid: 0, hi: 1 }\n"
+    "}\n"
+    "realrv X on S = { lo: -1, mid: 0, hi: 1 }\n"
+)
+
+
+def test_certify_kernel_scope(capsys, tmp_path):
+    # the row at c has mean 1, but mu gives c no mass
+    doc = tmp_path / "scope.kd"
+    doc.write_text(KERNEL_SCOPE)
+    args = ["certify", str(doc), "--rv", "X", "--measure", "mu", "--kernel", "k"]
+    code, out, err = run(capsys, *args, "--method", "bounded")
+    assert (code, out, err) == (0, "certified: c = 1 via boundedRange (kernelScope)\n", "")
+    code, out, err = run(capsys, *args, "--method", "grid", "--c", "1", "--json")
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"constant":"1","scope":"kernelScope",'
+        '"method":{"name":"gridCheck","T":"10","step":"1/100"},'
+        '"verified":true,"integrability":"vacuous (finite sums)"}\n'
+    )
+    doc.write_text(KERNEL_SCOPE.replace("c: 0 }", "c: 1 }"))
+    code, out, err = run(capsys, *args, "--method", "bounded")
+    assert (code, out) == (1, "")
+    assert "exact mean 1" in err
+
+
+def test_hoeffding_sigma2_below_the_range_constant(capsys, tmp_path):
+    # spread has variance 1/4 and range constant 1; the grid certifies 1/2
+    doc = tmp_path / "scope.kd"
+    doc.write_text(KERNEL_SCOPE)
+    args = ["hoeffding", str(doc), "--rv", "X", "--measure", "spread", "-n", "6", "-t", "3"]
+    code, out, err = run(capsys, *args, "--sigma2", "1/2")
+    assert (code, err) == (0, "")
+    assert out == "exact tail 5083/262144 <= bound 0.223130160148: holds\n"
+    code, out, err = run(capsys, *args, "--sigma2", "1/2", "--json")
+    assert (code, err) == (0, "")
+    assert out == '{"exactTail":"5083/262144","bound":0.223130160148,"holds":true}\n'
+    code, out, err = run(capsys, *args, "--sigma2", "1/8")
+    assert (code, out) == (1, "")
+    assert "does not certify sub-Gaussian at 1/8" in err
+
+
+def test_writers_format_each_label_once(capsys, monkeypatch):
+    doc = parse_document((DATA / "08_nested.kd").read_text())
+    calls = []
+
+    def counting(atom):
+        calls.append(atom)
+        return format_atom(atom)
+
+    for module in (cli, document):
+        monkeypatch.setattr(module, "format_atom", counting)
+    for name, k in doc.kernels.items():
+        bound = k.domain.size + k.codomain.size
+        calls.clear()
+        cli._print_value(k, as_json=False)
+        assert len(calls) <= bound, name
+        single = Document()
+        single.declare("kernel", name, k)
+        calls.clear()
+        serialize_document(single)
+        assert len(calls) <= bound, name
+    capsys.readouterr()
 
 
 def test_hoeffding_json_matches_contract(capsys):

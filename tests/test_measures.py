@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,43 @@ def test_floats_and_strings_are_not_exact_values(inexact):
         with pytest.raises(TypeError, match="cannot interpret"):
             build(w, [inexact, 0])
     assert RealRV(w, [-1, Fraction(1, 3)]).values == (Fraction(-1), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("inexact", [0.5, "1/2", Decimal("0.5")], ids=repr)
+def test_no_decimals_and_no_negatives_at_the_measure_level(inexact):
+    w = weather_space()
+    for build in (Measure, DensityTable):
+        with pytest.raises(TypeError, match="cannot interpret"):
+            build(w, [Fraction(1, 2), inexact])
+        for negative in (-1, Fraction(-1, 2)):
+            with pytest.raises(NegativeScalar, match="nonnegative, got -"):
+                build(w, [1, negative])
+    with pytest.raises(TypeError, match="cannot interpret"):
+        Scalar(inexact)
+
+
+def test_public_values_are_fractions_equal_to_ints():
+    w = weather_space()
+    mu = Measure(w, [Fraction(2, 3), 1])
+    k = Kernel(w, w, [mu, uniform(w)])
+    values = [
+        *mu.weights, mu.weight("good"), mu.total(), mu.mass_of(["bad"]), k.finite_bound(),
+        *(weight for weight, _ in k.support_rows(mu)), *DensityTable(w, [0, 3]).values,
+    ]
+    assert all(type(v) is Scalar and isinstance(v, Fraction) for v in values)
+    assert mu.weights == (Fraction(2, 3), 1) and mu.total() == Fraction(5, 3)
+    assert DensityTable(w, [0, 3]).values == (0, 3)
+    # a sum of weights is a plain Fraction
+    assert type(mu.weights[0] + mu.weights[1]) is Fraction
+
+
+def test_a_weight_of_5000_digits_prints_every_digit():
+    w = weather_space()
+    num = 7 * 10**4999 + 1
+    mu = Measure(w, [Fraction(num, 10**5000), Fraction(3 * 10**4999 - 1, 10**5000)])
+    assert mu.is_probability()
+    assert str(mu.weight("good")) == f"{Decimal(num)}/1{'0' * 5000}"
+    assert len(str(mu.weight("good")).split("/")[0]) == 5000
 
 
 def test_total_additivity_over_disjoint_split():
