@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import comp_measure, comp_prod, comp_prod_measure, pushforward
@@ -28,6 +27,7 @@ from .errors import (
     SpaceMismatch,
 )
 from .measures import Kernel, Measure
+from .records import Record
 from .scalar import _format_rational
 from .spaces import Product
 from .variables import RandomVariable, RealRV, pair_rv
@@ -190,14 +190,31 @@ def _agree(a: float, b: float) -> bool:
     return abs(a - b) <= TOLERANCE
 
 
-@dataclass
-class KLChainRuleReport:
-    joint: float
-    marginal: float
-    conditional: float
-    joint_conditional: float
-    additive_form_holds: bool
-    comp_prod_form_holds: bool
+class KLChainRuleReport(Record):
+    __slots__ = (
+        "joint",
+        "marginal",
+        "conditional",
+        "joint_conditional",
+        "additive_form_holds",
+        "comp_prod_form_holds",
+    )
+
+    def __init__(
+        self,
+        joint: float,
+        marginal: float,
+        conditional: float,
+        joint_conditional: float,
+        additive_form_holds: bool,
+        comp_prod_form_holds: bool,
+    ):
+        self.joint = joint
+        self.marginal = marginal
+        self.conditional = conditional
+        self.joint_conditional = joint_conditional
+        self.additive_form_holds = additive_form_holds
+        self.comp_prod_form_holds = comp_prod_form_holds
 
 
 def kl_chain_rule(mu: Measure, nu: Measure, kappa: Kernel, eta: Kernel) -> KLChainRuleReport:
@@ -225,14 +242,31 @@ def kl_chain_rule(mu: Measure, nu: Measure, kappa: Kernel, eta: Kernel) -> KLCha
     )
 
 
-@dataclass
-class DataProcessingReport:
-    divergence: str
-    processed: float
-    original: float
-    joint: float
-    dpi_holds: bool
-    conditioning_holds: bool
+class DataProcessingReport(Record):
+    __slots__ = (
+        "divergence",
+        "processed",
+        "original",
+        "joint",
+        "dpi_holds",
+        "conditioning_holds",
+    )
+
+    def __init__(
+        self,
+        divergence: str,
+        processed: float,
+        original: float,
+        joint: float,
+        dpi_holds: bool,
+        conditioning_holds: bool,
+    ):
+        self.divergence = divergence
+        self.processed = processed
+        self.original = original
+        self.joint = joint
+        self.dpi_holds = dpi_holds
+        self.conditioning_holds = conditioning_holds
 
 
 def data_processing(
@@ -334,11 +368,13 @@ def _log_mgf(x: RealRV, mu: Measure, t: Fraction) -> Fraction:
 # -- sub-Gaussian certification ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlainMeasureScope:
+class PlainMeasureScope(Record):
     """Certify against a single probability measure."""
 
-    measure: Measure
+    __slots__ = ("measure",)
+
+    def __init__(self, measure: Measure):
+        self.measure = measure
 
     def rows(self):
         return [self.measure.require_probability()]
@@ -347,12 +383,14 @@ class PlainMeasureScope:
         return "plainMeasure"
 
 
-@dataclass(frozen=True)
-class KernelScope:
+class KernelScope(Record):
     """Certify against every row of a Markov kernel at atoms the base measure hits."""
 
-    kernel: Kernel
-    measure: Measure
+    __slots__ = ("kernel", "measure")
+
+    def __init__(self, kernel: Kernel, measure: Measure):
+        self.kernel = kernel
+        self.measure = measure
 
     def rows(self):
         self.kernel.require_markov()
@@ -362,16 +400,26 @@ class KernelScope:
         return "kernelScope"
 
 
-@dataclass(frozen=True)
-class SubgaussianCertificate:
-    variable: RealRV
-    constant: Fraction
-    scope: object
-    method: tuple
-    verified: bool
-    # All expectations here are finite sums, so the integrability side
-    # condition of the definition holds vacuously; recorded, not checked.
-    integrability: str = "vacuous (finite sums)"
+class SubgaussianCertificate(Record):
+    __slots__ = ("variable", "constant", "scope", "method", "verified", "integrability")
+
+    def __init__(
+        self,
+        variable: RealRV,
+        constant: Fraction,
+        scope,
+        method: tuple,
+        verified: bool,
+        # All expectations here are finite sums, so the integrability side
+        # condition of the definition holds vacuously; recorded, not checked.
+        integrability: str = "vacuous (finite sums)",
+    ):
+        self.variable = variable
+        self.constant = constant
+        self.scope = scope
+        self.method = method
+        self.verified = verified
+        self.integrability = integrability
 
     def as_dict(self):
         method = {"name": self.method[0]}
@@ -543,14 +591,24 @@ def subgaussian_add_comp_prod(
     )
 
 
-@dataclass
-class HoeffdingReport:
-    exact_tail: Fraction
-    bound: float
-    holds: bool
-    n: int
-    threshold: Fraction
-    certificate: SubgaussianCertificate
+class HoeffdingReport(Record):
+    __slots__ = ("exact_tail", "bound", "holds", "n", "threshold", "certificate")
+
+    def __init__(
+        self,
+        exact_tail: Fraction,
+        bound: float,
+        holds: bool,
+        n: int,
+        threshold: Fraction,
+        certificate: SubgaussianCertificate,
+    ):
+        self.exact_tail = exact_tail
+        self.bound = bound
+        self.holds = holds
+        self.n = n
+        self.threshold = threshold
+        self.certificate = certificate
 
     def as_dict(self):
         return {

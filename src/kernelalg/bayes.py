@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import comp_measure, comp_prod_measure, swap_kernel
 from .disintegration import cond_kernel_measure
 from .errors import SpaceMismatch
 from .measures import Kernel, Measure
+from .records import Record
 
 __all__ = ["posterior", "bayes_check", "BayesReport"]
 
@@ -31,13 +30,15 @@ def posterior(kappa: Kernel, mu: Measure) -> Kernel:
     return cond_kernel_measure(flipped)
 
 
-@dataclass
-class BayesReport:
+class BayesReport(Record):
     """Result of checking the pointwise Bayes formula on positive evidence."""
 
-    holds: bool
-    checked: list = field(default_factory=list)
-    failures: list = field(default_factory=list)
+    __slots__ = ("holds", "checked", "failures")
+
+    def __init__(self, holds: bool, checked=None, failures=None):
+        self.holds = holds
+        self.checked = [] if checked is None else checked
+        self.failures = [] if failures is None else failures
 
 
 def bayes_check(kappa: Kernel, mu: Measure) -> BayesReport:

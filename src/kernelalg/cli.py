@@ -21,14 +21,6 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 
-from .analytics import (
-    KernelScope,
-    PlainMeasureScope,
-    certify_bounded_range,
-    certify_subgaussian,
-    hoeffding_check,
-)
-from .disintegration import DensityTable
 from .document import _labels, _weights_body, parse_document
 from .errors import (
     DocumentError,
@@ -37,13 +29,12 @@ from .errors import (
     NonzeroMean,
     NotCertified,
 )
-from .exprlang import eval_expr, infer_type, parse_expr
-from .jsonio import dumps, format_float, render_value
-from .laws import SUITES, run_laws
 from .measures import Kernel, Measure
 from .scalar import _format_rational
-from .sequential import sample
 from .spaces import format_atom
+
+# Each handler imports the modules its subcommand runs, when it runs, and
+# reads their functions there, so a call loads only what it uses.
 
 _LN2 = math.log(2)
 
@@ -64,6 +55,8 @@ def _print_value(value, as_json: bool, log2: bool = False):
     if isinstance(value, float) and log2:
         value = value / _LN2 if not math.isinf(value) else value
     if as_json:
+        from .jsonio import dumps, render_value
+
         print(dumps(render_value(value)))
         return
     if isinstance(value, Kernel):
@@ -73,18 +66,27 @@ def _print_value(value, as_json: bool, log2: bool = False):
             print(f"  {label}: " + _weights_body(labels, row._texts()))
     elif isinstance(value, Measure):
         print(f"measure on {value.space} = " + _weights_body(_labels(value.space), value._texts()))
-    elif isinstance(value, DensityTable):
-        texts = map(_format_rational, value.values)
-        print(f"density on {value.domain} = " + _weights_body(_labels(value.domain), texts))
     elif isinstance(value, bool):
         print("true" if value else "false")
     elif isinstance(value, float):
         print("inf" if math.isinf(value) else format(value, ".12g"))
     else:
-        print(value)
+        # a density table comes from `disintegration`, so that module is loaded by now
+        from .disintegration import DensityTable
+
+        if isinstance(value, DensityTable):
+            texts = map(_format_rational, value.values)
+            print(
+                f"density on {value.domain} = "
+                + _weights_body(_labels(value.domain), texts)
+            )
+        else:
+            print(value)
 
 
 def _cmd_eval(args) -> int:
+    from .exprlang import eval_expr, infer_type, parse_expr
+
     doc = _load(args.file)
     node = parse_expr(args.expr)
     infer_type(doc, node)
@@ -94,6 +96,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .laws import run_laws
+
     doc = _load(args.file)
     results = run_laws(args.laws, doc.kernels, doc.measures)
     failures = 0
@@ -106,6 +110,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .sequential import sample
+
     doc = _load(args.file)
     chain = doc.lookup("chain", args.chain)
     initial = doc.lookup("measure", args.initial) if args.initial else None
@@ -120,6 +126,8 @@ def _cmd_simulate(args) -> int:
         for i in range(0, len(trajectories), _WRITE_BLOCK)
     )
     if args.json:
+        from .jsonio import dumps
+
         quoted = {a: dumps(label) for a, label in labels.items()}
         write("[")
         for i, block in enumerate(blocks):
@@ -134,6 +142,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    from .analytics import KernelScope, PlainMeasureScope, certify_subgaussian
+
     doc = _load(args.file)
     x = doc.lookup("realrv", args.rv)
     mu = doc.lookup("measure", args.measure)
@@ -147,6 +157,8 @@ def _cmd_certify(args) -> int:
         x, scope, args.method, args.c, args.grid_T, args.grid_step
     )
     if args.json:
+        from .jsonio import dumps
+
         print(dumps(cert.as_dict()))
     else:
         method = cert.method[0]
@@ -158,6 +170,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_hoeffding(args) -> int:
+    from .analytics import PlainMeasureScope, certify_bounded_range, hoeffding_check
+
     doc = _load(args.file)
     x = doc.lookup("realrv", args.rv)
     mu = doc.lookup("measure", args.measure)
@@ -167,11 +181,14 @@ def _cmd_hoeffding(args) -> int:
         sigma_sq = certify_bounded_range(x, PlainMeasureScope(mu)).constant
     report = hoeffding_check(x, mu, sigma_sq, args.n, Fraction(args.t))
     if args.json:
+        from .jsonio import dumps
+
         print(dumps(report.as_dict()))
     else:
+        # the bound exp(-t^2 / (2 n sigma^2)) is at most 1, so never "inf"
         print(
             f"exact tail {_format_rational(report.exact_tail)} "
-            f"<= bound {format_float(report.bound)}: "
+            f"<= bound {format(report.bound, '.12g')}: "
             + ("holds" if report.holds else "VIOLATED")
         )
     return 0 if report.holds else 1
@@ -191,6 +208,16 @@ def _u64(text: str) -> int:
     return value
 
 
+class _LawSuites:
+    """`laws.SUITES` as the choices of `check --laws`: argparse reads them only
+    to parse `check` or print its help, and only then is `laws` imported."""
+
+    def __iter__(self):
+        from .laws import SUITES
+
+        return iter(SUITES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernelalg",
@@ -207,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run law suites on the declared objects")
     p.add_argument("file")
-    p.add_argument("--laws", default="all", choices=SUITES)
+    # set after add_argument, which would otherwise format the choices at once
+    p.add_argument("--laws", default="all").choices = _LawSuites()
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("simulate", help="sample trajectories from a chain")

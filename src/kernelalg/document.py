@@ -41,7 +41,6 @@ from .errors import (
 )
 from .measures import Kernel, Measure
 from .scalar import _format_rational
-from .sequential import KernelChain, markov_chain
 from .spaces import UNIT, UNIT_ATOM, Base, FiniteSpace, Product, SpaceExpr, format_atom
 from .variables import PartitionSigma, RandomVariable, RealRV
 
@@ -157,7 +156,7 @@ class Document:
         self.rvs: dict[str, RandomVariable] = {}
         self.realrvs: dict[str, RealRV] = {}
         self.partitions: dict[str, PartitionSigma] = {}
-        self.chains: dict[str, KernelChain] = {}
+        self.chains: dict = {}  # name -> sequential.KernelChain
         self.chain_specs: dict[str, tuple] = {}
 
     def registry(self, sort: str) -> dict:
@@ -450,6 +449,9 @@ def _parse_partition_decl(tz: Tokenizer, doc: Document, name):
 
 
 def _parse_chain_decl(tz: Tokenizer, doc: Document, name):
+    # Only a document that declares a chain imports the chain module.
+    from .sequential import KernelChain, markov_chain
+
     tz.expect("=")
     form = tz.expect("ident")
     if form.text not in ("markov", "steps"):

@@ -15,86 +15,113 @@ operator's parameter kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from importlib import import_module
 
-from . import algebra as alg
-from .analytics import (
-    cond_kl,
-    entropy,
-    kernel_entropy,
-    kl_div,
-    renyi_div,
-)
-from .bayes import posterior
-from .conditioning import cond_indep_fun, indep_fun
-from .disintegration import cond_kernel, cond_kernel_measure, rn_deriv, singular_part
 from .document import Document, Tokenizer, _parse_rational, _parse_space_expr
 from .errors import ArityError, ExprTypeError, KdSyntaxError, UnknownName
 from .measures import Kernel
-from .sequential import traj_kernel
+from .records import Record
 from .spaces import UNIT, Product, SpaceExpr
 from .variables import PartitionSigma
 
 __all__ = ["parse_expr", "infer_type", "eval_expr", "TKernel", "TMeasure"]
 
 
+class _Module:
+    """A module of this package, imported on the first attribute read.
+
+    Every read goes through the module, so an evaluator calls whatever
+    function the module binds at that moment.  Parsing and typechecking an
+    expression import none of these modules.
+    """
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = f"{__package__}.{name}"
+
+    def __getattr__(self, attr):
+        return getattr(import_module(self.name), attr)
+
+
+alg = _Module("algebra")
+analytics = _Module("analytics")
+bayes = _Module("bayes")
+conditioning = _Module("conditioning")
+disintegration = _Module("disintegration")
+sequential = _Module("sequential")
+
+
 # -- AST -----------------------------------------------------------------------
 
 
-@dataclass
-class Call:
-    op: str
-    args: list
-    line: int
-    col: int
+class Call(Record):
+    __slots__ = ("op", "args", "line", "col")
+
+    def __init__(self, op: str, args: list, line: int, col: int):
+        self.op = op
+        self.args = args
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class Name:
-    text: str
-    line: int
-    col: int
+class Name(Record):
+    __slots__ = ("text", "line", "col")
+
+    def __init__(self, text: str, line: int, col: int):
+        self.text = text
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class SpaceArg:
-    space: object  # a SpaceExpr, a Name, or a (left, right) pair of these
-    line: int
-    col: int
+class SpaceArg(Record):
+    __slots__ = ("space", "line", "col")
+
+    def __init__(self, space, line: int, col: int):
+        self.space = space  # a SpaceExpr, a Name, or a (left, right) pair of these
+        self.line = line
+        self.col = col
 
 
-@dataclass
-class RatArg:
-    value: Fraction
-    line: int
-    col: int
+class RatArg(Record):
+    __slots__ = ("value", "line", "col")
+
+    def __init__(self, value: Fraction, line: int, col: int):
+        self.value = value
+        self.line = line
+        self.col = col
 
 
 # -- types ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TKernel:
-    dom: SpaceExpr
-    cod: SpaceExpr
+class TKernel(Record):
+    __slots__ = ("dom", "cod")
+
+    def __init__(self, dom: SpaceExpr, cod: SpaceExpr):
+        self.dom = dom
+        self.cod = cod
 
     def __str__(self):
         return f"kernel {self.dom} -> {self.cod}"
 
 
-@dataclass(frozen=True)
-class TMeasure:
-    space: SpaceExpr
+class TMeasure(Record):
+    __slots__ = ("space",)
+
+    def __init__(self, space: SpaceExpr):
+        self.space = space
 
     def __str__(self):
         return f"measure on {self.space}"
 
 
-@dataclass(frozen=True)
-class TDensity:
-    space: SpaceExpr
+class TDensity(Record):
+    __slots__ = ("space",)
+
+    def __init__(self, space: SpaceExpr):
+        self.space = space
 
     def __str__(self):
         return f"density on {self.space}"
@@ -429,20 +456,23 @@ def _marginal(project, v):
 # -- the operator table ----------------------------------------------------------------
 
 
-class Operator(NamedTuple):
+class Operator(Record):
     """One operator: parameter kinds, type rule and evaluator.
 
     A kind is "kernel", "measure", "expr" (kernel or measure), "space", "rv",
     "chain", "rat" or "int".  The type rule receives the call node and the
     resolved argument types (for the non-expression kinds, the resolved
     space, rv, chain or number); the evaluator receives the resolved values.
-    Evaluators name core functions at call time, through this module's
-    globals, so rebinding a module-level name reaches every call.
+    Evaluators name core functions at call time, as attributes of their
+    modules, so rebinding a module-level name reaches every call.
     """
 
-    kinds: tuple
-    rule: Callable
-    evaluate: Callable
+    __slots__ = ("kinds", "rule", "evaluate")
+
+    def __init__(self, kinds: tuple, rule, evaluate):
+        self.kinds = kinds
+        self.rule = rule
+        self.evaluate = evaluate
 
 
 OPERATORS = {
@@ -461,10 +491,12 @@ OPERATORS = {
     "condKernel": Operator(
         ("expr",),
         _cond_kernel_type,
-        lambda v: cond_kernel(v) if isinstance(v, Kernel) else cond_kernel_measure(v),
+        lambda v: disintegration.cond_kernel(v)
+        if isinstance(v, Kernel)
+        else disintegration.cond_kernel_measure(v),
     ),
     "posterior": Operator(
-        ("kernel", "measure"), _posterior_type, lambda f, m: posterior(f, m)
+        ("kernel", "measure"), _posterior_type, lambda f, m: bayes.posterior(f, m)
     ),
     "mcomp": Operator(
         ("kernel", "measure"), _mcomp_type, lambda f, m: alg.comp_measure(f, m)
@@ -521,33 +553,47 @@ OPERATORS = {
         ("space",), lambda node, s: TKernel(s, s), lambda s: alg.identity_kernel(s)
     ),
     "rnDeriv": Operator(
-        ("kernel", "kernel"), _rn_deriv_type, lambda f, g: rn_deriv(f, g)
+        ("kernel", "kernel"), _rn_deriv_type, lambda f, g: disintegration.rn_deriv(f, g)
     ),
     "singular": Operator(
-        ("kernel", "kernel"), _singular_type, lambda f, g: singular_part(f, g)
+        ("kernel", "kernel"),
+        _singular_type,
+        lambda f, g: disintegration.singular_part(f, g),
     ),
-    "entropy": Operator(("measure",), lambda node, m: T_FLOAT, lambda m: entropy(m)),
+    "entropy": Operator(
+        ("measure",), lambda node, m: T_FLOAT, lambda m: analytics.entropy(m)
+    ),
     "kentropy": Operator(
-        ("kernel", "measure"), _kentropy_type, lambda f, m: kernel_entropy(f, m)
+        ("kernel", "measure"),
+        _kentropy_type,
+        lambda f, m: analytics.kernel_entropy(f, m),
     ),
-    "kl": Operator(("measure", "measure"), _kl_type, lambda m1, m2: kl_div(m1, m2)),
+    "kl": Operator(
+        ("measure", "measure"), _kl_type, lambda m1, m2: analytics.kl_div(m1, m2)
+    ),
     "condkl": Operator(
         ("kernel", "kernel", "measure"),
         _condkl_type,
-        lambda f, g, m: cond_kl(f, g, m),
+        lambda f, g, m: analytics.cond_kl(f, g, m),
     ),
     "renyi": Operator(
         ("rat", "measure", "measure"),
         _renyi_type,
-        lambda alpha, m1, m2: renyi_div(alpha, m1, m2),
+        lambda alpha, m1, m2: analytics.renyi_div(alpha, m1, m2),
     ),
     "indep": Operator(
-        ("rv", "rv", "measure"), _indep_type, lambda x, y, m: indep_fun(x, y, m)
+        ("rv", "rv", "measure"),
+        _indep_type,
+        lambda x, y, m: conditioning.indep_fun(x, y, m),
     ),
     "condindep": Operator(
         ("rv", "rv", "rv", "measure"),
         _indep_type,
-        lambda x, y, z, m: cond_indep_fun(x, y, PartitionSigma.generated_by(z), m),
+        lambda x, y, z, m: conditioning.cond_indep_fun(
+            x, y, PartitionSigma.generated_by(z), m
+        ),
     ),
-    "traj": Operator(("chain", "int"), _traj_type, lambda c, n: traj_kernel(c, n)),
+    "traj": Operator(
+        ("chain", "int"), _traj_type, lambda c, n: sequential.traj_kernel(c, n)
+    ),
 }

@@ -12,7 +12,6 @@ import json
 import math
 from fractions import Fraction
 
-from .disintegration import DensityTable
 from .measures import Kernel, Measure
 from .scalar import _format_rational
 from .spaces import format_atom
@@ -65,6 +64,11 @@ def render_value(value):
                 for a, row in zip(value.domain.atoms, value.rows)
             },
         }
+    if isinstance(value, (bool, float)):
+        return value
+    # a density table comes from `disintegration`, so that module is loaded by now
+    from .disintegration import DensityTable
+
     if isinstance(value, DensityTable):
         return {
             "sort": "density",

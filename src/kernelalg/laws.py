@@ -9,7 +9,6 @@ suite calls the same functions on randomized inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iter_product
 
 from . import algebra as alg
@@ -23,6 +22,7 @@ from .disintegration import (
     with_density,
 )
 from .errors import KernelAlgError
+from .records import Record
 from .spaces import Product
 
 __all__ = [
@@ -33,12 +33,14 @@ __all__ = [
 SUITES = ("algebra", "disintegration", "bayes", "all")
 
 
-@dataclass
-class LawResult:
-    law: str
-    subject: str
-    ok: bool
-    detail: str = ""
+class LawResult(Record):
+    __slots__ = ("law", "subject", "ok", "detail")
+
+    def __init__(self, law: str, subject: str, ok: bool, detail: str = ""):
+        self.law = law
+        self.subject = subject
+        self.ok = ok
+        self.detail = detail
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

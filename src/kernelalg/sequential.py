@@ -215,6 +215,15 @@ class KernelChain:
         self.steps = steps
         self.initial = initial
 
+    @classmethod
+    def _unchecked(cls, start: SpaceExpr, steps: tuple, initial) -> "KernelChain":
+        """A chain whose steps, sizes and initial measure are already checked."""
+        chain = object.__new__(cls)
+        chain.start = start
+        chain.steps = steps
+        chain.initial = initial
+        return chain
+
     def __len__(self):
         return len(self.steps)
 
@@ -232,7 +241,11 @@ class KernelChain:
 
 
 def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
-    """A homogeneous chain: every step applies `step` to the last state only."""
+    """A homogeneous chain: every step applies `step` to the last state only.
+
+    Step i lifts `step` to the history space; the lift's rows are the rows
+    of `step` itself, so the one Markov check of `step` covers every step.
+    """
     if step.domain != step.codomain:
         raise SpaceMismatch(
             f"a Markov chain step must be square, got {step.domain} -> {step.codomain}"
@@ -250,7 +263,7 @@ def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
     for _ in range(1, n):
         steps.append(prod_mk_left(history, step))
         history = Product(history, step.codomain)
-    return KernelChain(step.domain, steps, initial=initial)
+    return KernelChain._unchecked(step.domain, tuple(steps), initial)
 
 
 def _check_horizon(chain: KernelChain, n: int):

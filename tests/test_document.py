@@ -193,6 +193,31 @@ def test_chain_declarations_validate():
             "}\n"
             "chain c = markov(m, k, 2)"
         )
+    # `markov(...)` checks its step once, through the base kernel; each refusal
+    # keeps its message and points at the chain form.
+    head = (
+        "space S { a b }\n"
+        "space T { x y }\n"
+        "measure m on S = { a: 1/2, b: 1/2 }\n"
+        "measure t on T = { x: 1, y: 0 }\n"
+        "kernel k : S -> S = { a: { a: 1, b: 0 }  b: { a: 1/2, b: 1/2 } }\n"
+        "kernel bad : S -> S = { a: { a: 1, b: 1 }  b: { a: 0, b: 1 } }\n"
+        "kernel r : S -> T = { a: { x: 1, y: 0 }  b: { x: 0, y: 1 } }\n"
+    )
+    cases = {
+        "markov(m, r, 2)": "a Markov chain step must be square, got S -> T",
+        "markov(m, bad, 2)": "kernel S -> S has non-probability rows",
+        "markov(t, k, 2)": "initial distribution on T does not match state space S",
+        "markov(m, k, 20)": (
+            "history space after step 20 has 2097152 atoms, above the limit of 1048576"
+        ),
+        "markov(m, k, 65)": "chain of 65 steps, above the limit of 64",
+    }
+    for form, message in cases.items():
+        with pytest.raises(DocumentError) as exc:
+            parse_document(head + "chain c = " + form)
+        assert str(exc.value) == f"8:11: {message}"
+        assert (exc.value.line, exc.value.column) == (8, 11)
 
 
 @given(

@@ -367,6 +367,25 @@ def test_long_markov_chain_declares_fast_and_samples_like_oracle():
     assert sample(chain, 16, 99, 1000) == sample_oracle(chain, 16, 99, 1000)
 
 
+def test_markov_chain_checks_its_step_once(monkeypatch):
+    """Every lifted step reuses the rows of the step, so the one Markov check
+    of the step is the only one: 11 steps, the most 3 states allow."""
+    rng = random.Random(20)
+    w = Base(FiniteSpace("T", ["a", "b", "c"]))
+    k, mu = random_markov_kernel(rng, w, w), random_probability(rng, w)
+    checked = []
+    is_markov = Kernel.is_markov
+    with monkeypatch.context() as patch:
+        patch.setattr(Kernel, "is_markov", lambda self: checked.append(self) or is_markov(self))
+        chain = markov_chain(mu, k, 11)
+    assert len(checked) == 1 and checked[0] is k
+    steps, history = [k], w
+    for _ in range(10):
+        steps.append(alg.prod_mk_left(history, k))
+        history = Product(history, w)
+    assert chain == KernelChain(w, steps, initial=mu)
+
+
 def test_history_size_checked_before_building():
     w = Base(FiniteSpace("T", ["a", "b", "c"]))
     start = time.perf_counter()
