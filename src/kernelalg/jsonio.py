@@ -74,7 +74,7 @@ def render_value(value):
             "sort": "density",
             "space": str(value.domain),
             "values": {
-                format_atom(a): str(v)
+                format_atom(a): _format_rational(v)
                 for a, v in zip(value.domain.atoms, value.values)
             },
         }

@@ -276,9 +276,7 @@ class Kernel:
     def is_markov(self) -> bool:
         if self.index_map is not None:
             return True
-        # a lifted kernel (prod_mk_left) repeats a few row objects many times
-        distinct = {id(row): row for row in self.rows}.values()
-        return all(row.is_probability() for row in distinct)
+        return all(row.is_probability() for row in self.rows)
 
     def require_markov(self) -> "Kernel":
         if not self.is_markov():

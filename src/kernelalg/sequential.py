@@ -1,12 +1,13 @@
 """Finite-horizon trajectory kernels for chains of Markov kernels.
 
 A chain fixes a start space and a list of Markov steps, where step i maps the
-left-nested history space (((start x out_1) x out_2) ... x out_i) to the next
-output space.  The trajectory kernel up to horizon n is the iterated
-sequential pairing of the steps; every rebracketing between the history
-spaces and the growing trajectory product is inserted here, explicitly, so
-callers never juggle associators.  Trajectories exclude the start coordinate:
-the horizon-n trajectory space is the left-nested product of out_1 .. out_n.
+left-nested history space (((start x out_1) x out_2) ... x out_i), or in a
+markov_chain only the last state out_i, to the next output space.  The
+trajectory kernel up to horizon n is the iterated sequential pairing of the
+steps; every lift and rebracketing between the last state, the history spaces
+and the growing trajectory product is inserted here, explicitly, so callers
+never juggle associators.  Trajectories exclude the start coordinate: the
+horizon-n trajectory space is the left-nested product of out_1 .. out_n.
 
 Sampling is reproducible by construction: the generator is splitmix64 (the
 exact algorithm is pinned below and in the README), and atoms are drawn by
@@ -17,12 +18,10 @@ counter-based (word i is a fixed function of seed + i * gamma), so the sampler
 computes its words a block at a time with whole-integer arithmetic over
 packed lanes, and draws each step of a block of trajectories as one column.
 
-Every chain is checked before anything is built: one with more than
-MAX_CHAIN_STEPS steps, or with a history space of more than MAX_HISTORY_ATOMS
-atoms, is refused.  The horizon-n trajectory kernel has exactly |history_n|
-entries, so this also bounds traj_kernel, which checks its size against
-algebra.MAX_DENSE_ENTRIES as well.  The step limit matters only on a
-one-atom state space, whose histories never grow.
+A chain of more than MAX_CHAIN_STEPS steps is refused when it is declared.
+The horizon-n trajectory kernel has |history_n| entries, so traj_kernel
+refuses a history space of more than MAX_HISTORY_ATOMS atoms before it builds
+anything; sample reads a markov_chain's step itself and needs no such limit.
 """
 
 from __future__ import annotations
@@ -30,11 +29,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_right
 from itertools import accumulate, repeat
-from math import prod
 from operator import add, mul
 
 from .algebra import (
-    _check_dense,
     comp_measure,
     comp_prod,
     compose,
@@ -62,11 +59,12 @@ __all__ = [
 
 PRNG_ALGORITHM = "splitmix64"
 
-# Largest history space a chain may have: start x out_1 x ... x out_i.
+# Largest history space traj_kernel builds: start x out_1 x ... x out_i.
 MAX_HISTORY_ATOMS = 1 << 20
 
-# Most steps a chain may have; each step nests its history space one level
-# deeper, and the space and atom code recurses once per level.
+# Most steps a chain may have; each step nests the trajectory space that traj
+# and its type rule build one level deeper, and the space and atom code
+# recurses once per level.
 MAX_CHAIN_STEPS = 64
 
 _MASK = (1 << 64) - 1
@@ -160,42 +158,22 @@ def _thresholds(row: Measure) -> list:
     return [-((-cum << 64) // den) for cum in accumulate(row.nums)]
 
 
-def _row_tables(rows, built: dict) -> list:
-    """The thresholds of every row, one table per distinct row object.  `built`
-    maps id(row) to its table across the steps of one sample call; the chain
-    keeps every row alive, so id() is stable."""
-    ids = list(map(id, rows))
-    distinct = dict(zip(ids, rows))
-    for key in distinct.keys() - built.keys():
-        built[key] = _thresholds(distinct[key])
-    return list(map(built.__getitem__, ids))
-
-
-def _check_chain_sizes(start: SpaceExpr, outs, count: int):
-    """Refuse a chain of more than MAX_CHAIN_STEPS steps, or one with a
-    history space above MAX_HISTORY_ATOMS atoms."""
+def _check_step_count(count: int):
     if count > MAX_CHAIN_STEPS:
         raise KernelAlgError(
             f"chain of {count} steps, above the limit of {MAX_CHAIN_STEPS}"
         )
-    size = start.size
-    for i, out in enumerate(outs, 1):
-        size *= out.size
-        if size > MAX_HISTORY_ATOMS:
-            raise KernelAlgError(
-                f"history space after step {i} has {size} atoms, above the "
-                f"limit of {MAX_HISTORY_ATOMS}"
-            )
 
 
 class KernelChain:
-    """A start space plus Markov steps over left-nested history spaces."""
+    """A start space plus Markov steps over left-nested history spaces (or,
+    built by markov_chain only, over the last state)."""
 
     __slots__ = ("start", "steps", "initial")
 
     def __init__(self, start: SpaceExpr, steps, initial: Measure | None = None):
         steps = tuple(steps)
-        _check_chain_sizes(start, (step.codomain for step in steps), len(steps))
+        _check_step_count(len(steps))
         history = start
         for i, step in enumerate(steps):
             if step.domain != history:
@@ -239,13 +217,18 @@ class KernelChain:
     def output_spaces(self):
         return tuple(step.codomain for step in self.steps)
 
+    def _reads_last(self, n: int) -> list:
+        """Whether each of the first n steps reads only the state drawn just
+        before it: its domain is that output space (the start for step 0).  A
+        history space holds that space as a strict subtree, so never equals it."""
+        previous = (self.start,) + self.output_spaces()
+        return [step.domain == previous[i] for i, step in enumerate(self.steps[:n])]
+
 
 def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
-    """A homogeneous chain: every step applies `step` to the last state only.
-
-    Step i lifts `step` to the history space; the lift's rows are the rows
-    of `step` itself, so the one Markov check of `step` covers every step.
-    """
+    """A homogeneous chain: every one of its n steps is `step`, applied to the
+    last state only.  Nothing history-sized is built; traj_kernel lifts the
+    step to each history space it needs."""
     if step.domain != step.codomain:
         raise SpaceMismatch(
             f"a Markov chain step must be square, got {step.domain} -> {step.codomain}"
@@ -257,13 +240,8 @@ def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
             f"initial distribution on {initial.space} does not match state space "
             f"{step.domain}"
         )
-    _check_chain_sizes(step.domain, repeat(step.codomain, n), n)
-    steps = [step]
-    history = step.domain
-    for _ in range(1, n):
-        steps.append(prod_mk_left(history, step))
-        history = Product(history, step.codomain)
-    return KernelChain._unchecked(step.domain, tuple(steps), initial)
+    _check_step_count(n)
+    return KernelChain._unchecked(step.domain, (step,) * n, initial)
 
 
 def _check_horizon(chain: KernelChain, n: int):
@@ -274,14 +252,24 @@ def _check_horizon(chain: KernelChain, n: int):
 
 
 def traj_kernel(chain: KernelChain, n: int) -> Kernel:
-    """Joint kernel of the first n outputs, start space to trajectory space."""
+    """Joint kernel of the first n outputs, start space to trajectory space.
+    A last-state step is lifted to its history space with prod_mk_left."""
     _check_horizon(chain, n)
-    outs = prod(step.codomain.size for step in chain.steps[:n])
-    _check_dense("traj_kernel", chain.start.size, outs)
+    size = chain.start.size
+    for i, step in enumerate(chain.steps[:n], 1):
+        size *= step.codomain.size
+        if size > MAX_HISTORY_ATOMS:
+            raise KernelAlgError(
+                f"history space after step {i} has {size} atoms, above the "
+                f"limit of {MAX_HISTORY_ATOMS}"
+            )
+    reads_last = chain._reads_last(n)
     xi = chain.steps[0]
-    history = Product(chain.start, chain.steps[0].codomain)
+    history = Product(chain.start, xi.codomain)
     for i in range(1, n):
         step = chain.steps[i]
+        if reads_last[i]:
+            step = prod_mk_left(history.left, step)
         lift_dom = Product(chain.start, xi.codomain)
         lifted = compose(step, rebracket_kernel(lift_dom, history))
         xi = comp_prod(xi, lifted)
@@ -345,22 +333,29 @@ def sample(
     rng = SplitMix64(seed)
     width = n + 1  # words per trajectory: the start, then one per step
     start = _thresholds(init)
-    built: dict[int, list] = {}
+    # one threshold list per distinct step kernel, holding one table per row
+    steps = {id(step): step for step in chain.steps[:n]}
+    built = {key: list(map(_thresholds, step.rows)) for key, step in steps.items()}
+    reads_last = chain._reads_last(n)
+    track = not all(reads_last)  # the history index is kept if a step reads it
     plan = [
-        (_row_tables(step.rows, built), step.codomain.size, step.codomain.atoms)
-        for step in chain.steps[:n]
+        (built[id(step)], last, step.codomain.size, step.codomain.atoms)
+        for step, last in zip(chain.steps, reads_last)
     ]
     per_block = max(1, _CHUNK // width)
     out = []
     for done in range(0, count, per_block):
         b = min(per_block, count - done)
         words = rng.take(b * width)
-        # hs[t] is the row-major index of trajectory t's history drawn so far
-        hs = list(map(bisect_right, repeat(start, b), words[::width]))
+        # hs[t] is the row-major index of trajectory t's history drawn so far,
+        # js[t] the index of the state it drew last
+        hs = js = list(map(bisect_right, repeat(start, b), words[::width]))
         columns = []
-        for i, (tables, size, atoms) in enumerate(plan, 1):
-            js = list(map(bisect_right, map(tables.__getitem__, hs), words[i::width]))
+        for i, (tables, last, size, atoms) in enumerate(plan, 1):
+            rows = map(tables.__getitem__, js if last else hs)
+            js = list(map(bisect_right, rows, words[i::width]))
             columns.append(map(atoms.__getitem__, js))
-            hs = list(map(add, map(mul, hs, repeat(size)), js))
+            if track:
+                hs = list(map(add, map(mul, hs, repeat(size)), js))
         out += zip(*columns)
     return out

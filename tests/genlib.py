@@ -22,6 +22,7 @@ from kernelalg.algebra import (
     copy_kernel,
     deterministic,
     fst_proj,
+    prod_mk_left,
     prod_mk_right,
     pushforward,
 )
@@ -32,7 +33,7 @@ from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
 from kernelalg.laws import LawResult
 from kernelalg.measures import Kernel, Measure, uniform
 from kernelalg.scalar import ZERO, Scalar
-from kernelalg.sequential import SplitMix64, _thresholds, traj_kernel
+from kernelalg.sequential import KernelChain, SplitMix64, _thresholds, traj_kernel
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product, format_atom
 from kernelalg.variables import RandomVariable, pair_rv
 
@@ -510,7 +511,9 @@ class _RowSampler:
 
 def reference_sample(chain, n, seed, count, initial=None):
     """`sequential.sample` as a per-trajectory loop: one next_u64 per draw, the
-    history as its row-major index, one sampler per distinct row object.  The
+    history as its row-major index h, one sampler per distinct row object.
+    Each step reads row h % len(rows): h itself for a step over the history
+    space, the state drawn last for a step that reads only that state.  The
     library draws the same words a packed block and a column at a time."""
     init = initial if initial is not None else chain.initial
     if init is None:
@@ -528,7 +531,7 @@ def reference_sample(chain, n, seed, count, initial=None):
         h = init_sampler.draw(rng.next_u64())
         traj = []
         for rows, size, atoms in plan:
-            row = rows[h]
+            row = rows[h % len(rows)]
             sampler = samplers.get(id(row))
             if sampler is None:
                 sampler = samplers[id(row)] = _RowSampler(row)
@@ -539,8 +542,19 @@ def reference_sample(chain, n, seed, count, initial=None):
     return out
 
 
+def explicit_chain(mu, k, n):
+    """markov_chain(mu, k, n) with every step lifted to its history space:
+    KernelChain(S, [k, prod_mk_left(S, k), prod_mk_left((S x S), k), ...], mu)."""
+    steps, history = [k], k.domain
+    for _ in range(1, n):
+        steps.append(prod_mk_left(history, k))
+        history = Product(history, k.codomain)
+    return KernelChain(k.domain, steps, mu)
+
+
 def sample_oracle(chain, n, seed, count, initial=None):
-    """Trajectory sampling keyed by nested history atoms, one sampler per row index."""
+    """Trajectory sampling keyed by nested history atoms, one sampler per row
+    index.  Every step must map the history space, as in explicit_chain."""
     init = initial if initial is not None else chain.initial
     if init is None:
         raise KernelAlgError("chain has no initial distribution to sample from")

@@ -429,6 +429,8 @@ def test_hoeffding_not_certified_exit_1(capsys):
 
 
 def test_long_chain_history_refused_exit_2(capsys, tmp_path):
+    """A markov(...) chain holds its step, so 40 steps on 3 states simulate;
+    traj(c, 40) would build the history space and is refused at the call."""
     doc = tmp_path / "long.kd"
     doc.write_text(
         "space S { a b c }\n"
@@ -440,14 +442,16 @@ def test_long_chain_history_refused_exit_2(capsys, tmp_path):
         "}\n"
         "chain c = markov(mu, k, 40)\n"
     )
-    code, out, err = run(
-        capsys, "simulate", str(doc), "--chain", "c", "-n", "2", "--seed", "1", "--count", "1"
-    )
-    assert code == 2
-    assert out == ""
+    argv = ["simulate", str(doc), "--chain", "c", "-n", "40", "--seed", "1", "--count", "3"]
+    chain = parse_document(doc.read_text(encoding="utf-8")).chains["c"]
+    text, _ = want = reference_outputs(chain, 40, 1, 3)
+    assert simulate_outputs(capsys, argv) == want
+    # k is the cycle a -> b -> c -> a, so every trajectory from a is the same
+    assert text == ("→".join((("b", "c", "a") * 14)[:40]) + "\n") * 3
+    code, out, err = run(capsys, "eval", str(doc), "--expr", "traj(c, 40)")
+    assert (code, out) == (2, "")
     assert err == (
-        "error: 8:11: history space after step 12 has 1594323 atoms, "
-        "above the limit of 1048576\n"
+        "error: history space after step 12 has 1594323 atoms, above the limit of 1048576\n"
     )
 
 
@@ -494,6 +498,19 @@ def test_results_past_the_int_to_str_digit_limit_print_in_full(capsys, tmp_path)
     assert (code, err) == (0, "")
     assert json.loads(out)["weights"] == {
         "(a,a)": f"1/{den}", "(a,b)": "0", "(b,a)": "0", "(b,b)": "0"
+    }
+    # a density of d(mu) / d(big) = 1/(sevens * threes) at a, in both writers
+    doc.write_text(doc.read_text() + f"measure big on W = {{ a: {threes}, b: 0 }}\n")
+    expr = "rnDeriv(const(W, mu), const(W, big))"
+    code, out, err = run(capsys, "eval", str(doc), "--expr", expr)
+    assert (code, err) == (0, "")
+    assert out == (
+        f"density on (W x W) = {{ (a,a): 1/{den}, (a,b): 0, (b,a): 1/{den}, (b,b): 0 }}\n"
+    )
+    code, out, err = run(capsys, "eval", str(doc), "--expr", expr, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["values"] == {
+        "(a,a)": f"1/{den}", "(a,b)": "0", "(b,a)": f"1/{den}", "(b,b)": "0"
     }
 
 

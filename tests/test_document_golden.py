@@ -148,7 +148,7 @@ CASES = {
     "initial measure not a probability": PRELUDE
     + "measure m2 on W = { a: 1, b: 1 }\nchain c = markov(m2, k, 2)",
     "steps over the wrong history": PRELUDE + "chain c = steps(k, k)",
-    "history space past the limit": PRELUDE + "chain c = markov(mu, k, 20)",
+    "chain past the step limit": PRELUDE + "chain c = markov(mu, k, 65)",
     "empty steps": PRELUDE + "chain c = steps()",
 }
 

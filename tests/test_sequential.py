@@ -3,11 +3,13 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import genlib
 from genlib import (
+    explicit_chain,
     fresh_space,
     random_markov_kernel,
     random_probability,
@@ -17,6 +19,7 @@ from genlib import (
 )
 from kernelalg import algebra as alg
 from kernelalg import sequential
+from kernelalg.document import parse_document
 from kernelalg.errors import HorizonOutOfRange, KernelAlgError, NotMarkov, SpaceMismatch
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, Scalar
@@ -34,6 +37,8 @@ from kernelalg.sequential import (
 )
 from kernelalg.spaces import UNIT, Base, FiniteSpace, Product
 from kernelalg.variables import RandomVariable
+
+DATA = Path(__file__).parent / "data"
 
 
 def random_chain(rng, length=None, max_atoms=4):
@@ -338,14 +343,20 @@ def test_sample_matches_dict_keyed_oracle():
     # Both references draw one next_u64 per atom, trajectory by trajectory;
     # sample draws a packed block of words and one column per step.  Counts
     # sit at the edges of one block of trajectories, at every horizon, with
-    # the chain's own initial and an override.
+    # the chain's own initial and an override.  The dict-keyed oracle walks
+    # history atoms, so it runs on a markov chain's explicit twin.
     rng = random.Random(60)
     for _ in range(20):
         s = fresh_space(rng, 4)
         step = random_markov_kernel(rng, s, s, zero_frac=0.3)
-        homogeneous = markov_chain(random_probability(rng, s), step, rng.randint(1, 5))
+        n = rng.randint(1, 5)
+        mu = random_probability(rng, s)
+        homogeneous = markov_chain(mu, step, n)
         inhomogeneous = random_chain(rng)
-        for chain in (homogeneous, inhomogeneous):
+        for chain, explicit in (
+            (homogeneous, explicit_chain(mu, step, n)),
+            (inhomogeneous, inhomogeneous),
+        ):
             other = random_probability(rng, chain.start, zero_frac=0.3)
             seed = rng.getrandbits(64)
             inits = [other] if chain.initial is None else [None, other]
@@ -355,21 +366,32 @@ def test_sample_matches_dict_keyed_oracle():
                     for count in (0, 1, 40, block - 1, block, block + 1):
                         got = sample(chain, n, seed, count, init)
                         assert got == reference_sample(chain, n, seed, count, init)
-                        assert got == sample_oracle(chain, n, seed, count, init)
+                        assert got == sample_oracle(explicit, n, seed, count, init)
                         assert all(type(t) is tuple and len(t) == n for t in got)
 
 
-def test_long_markov_chain_declares_fast_and_samples_like_oracle():
+def test_long_markov_chain_declares_fast_and_samples_like_oracle(monkeypatch):
+    """A markov chain holds its step: with no Product and no lift to call, 64
+    steps on 3 states declare and sample like the reference."""
+    rng = random.Random(64)
+    w = Base(FiniteSpace("T", ["a", "b", "c"]))
+    k, mu = random_markov_kernel(rng, w, w, zero_frac=0.3), random_probability(rng, w)
+    with monkeypatch.context() as patch:
+        patch.setattr(sequential, "Product", None)
+        patch.setattr(sequential, "prod_mk_left", None)
+        chain = markov_chain(mu, k, MAX_CHAIN_STEPS)
+        got = sample(chain, MAX_CHAIN_STEPS, 3, 500)
+    assert chain.steps == (k,) * MAX_CHAIN_STEPS
+    assert got == reference_sample(chain, MAX_CHAIN_STEPS, 3, 500)
     k = weather_kernel()
-    start = time.perf_counter()
     chain = markov_chain(uniform(k.domain), k, 16)
-    assert time.perf_counter() - start < 0.5
-    assert sample(chain, 16, 99, 1000) == sample_oracle(chain, 16, 99, 1000)
+    explicit = explicit_chain(uniform(k.domain), k, 16)
+    assert sample(chain, 16, 99, 1000) == sample_oracle(explicit, 16, 99, 1000)
 
 
 def test_markov_chain_checks_its_step_once(monkeypatch):
-    """Every lifted step reuses the rows of the step, so the one Markov check
-    of the step is the only one: 11 steps, the most 3 states allow."""
+    """The chain's steps are the step itself, so the one Markov check of the
+    step is the only one; it runs, traj and sample, like its explicit twin."""
     rng = random.Random(20)
     w = Base(FiniteSpace("T", ["a", "b", "c"]))
     k, mu = random_markov_kernel(rng, w, w), random_probability(rng, w)
@@ -379,33 +401,71 @@ def test_markov_chain_checks_its_step_once(monkeypatch):
         patch.setattr(Kernel, "is_markov", lambda self: checked.append(self) or is_markov(self))
         chain = markov_chain(mu, k, 11)
     assert len(checked) == 1 and checked[0] is k
-    steps, history = [k], w
-    for _ in range(10):
-        steps.append(alg.prod_mk_left(history, k))
-        history = Product(history, w)
-    assert chain == KernelChain(w, steps, initial=mu)
+    explicit = explicit_chain(mu, k, 11)
+    for n in range(1, 8):
+        assert traj_kernel(chain, n) == traj_kernel(explicit, n)
+    assert sample(chain, 11, 8, 700) == sample(explicit, 11, 8, 700)
 
 
-def test_history_size_checked_before_building():
+def test_markov_and_explicit_chains_sample_and_traj_alike():
+    """sample(markov_chain(mu, k, n)) equals sample and reference_sample on the
+    explicit chain of lifted steps, and traj_kernel agrees at every horizon:
+    on every markov chain of tests/data and on random chains of 1-4 states."""
+    cases = []
+    for path in sorted(DATA.rglob("*.kd")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        for name, spec in doc.chain_specs.items():
+            if spec[0] == "markov":
+                _, mu, k, n = spec
+                cases.append((doc.measures[mu], doc.kernels[k], n))
+    assert cases
+    rng = random.Random(21)
+    for _ in range(50):
+        s = Base(FiniteSpace("S", [f"s{i}" for i in range(rng.randint(1, 4))]))
+        k = random_markov_kernel(rng, s, s, zero_frac=0.3)
+        cases.append((random_probability(rng, s, zero_frac=0.3), k, rng.randint(1, 8)))
+    for mu, k, n in cases:
+        chain, explicit = markov_chain(mu, k, n), explicit_chain(mu, k, n)
+        for h in range(1, n + 1):
+            assert traj_kernel(chain, h) == traj_kernel(explicit, h)
+            seed = rng.getrandbits(64)
+            got = sample(chain, h, seed, 60)
+            assert got == sample(explicit, h, seed, 60)
+            assert got == reference_sample(explicit, h, seed, 60)
+    # refused when histories were checked at declaration
     w = Base(FiniteSpace("T", ["a", "b", "c"]))
-    start = time.perf_counter()
-    with pytest.raises(KernelAlgError) as exc:
-        markov_chain(uniform(w), alg.const_kernel(w, uniform(w)), 40)
-    assert time.perf_counter() - start < 1.0
-    assert str(exc.value) == (
-        "history space after step 12 has 1594323 atoms, above the limit of 1048576"
-    )
+    k, mu = random_markov_kernel(rng, w, w, zero_frac=0.3), random_probability(rng, w)
+    chain = markov_chain(mu, k, 40)
+    assert sample(chain, 40, 7, 2000) == reference_sample(chain, 40, 7, 2000)
+
+
+def test_history_size_checked_before_building(monkeypatch):
+    """traj_kernel counts the history space of its horizon before it builds
+    anything; a chain declares whatever its history sizes."""
+    w = Base(FiniteSpace("T", ["a", "b", "c"]))
+    chain = markov_chain(uniform(w), alg.const_kernel(w, uniform(w)), 40)
     big = Base(FiniteSpace("B", [str(i) for i in range(1024)]))
     fits = Base(FiniteSpace("F", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024)]))
-    assert len(KernelChain(big, [alg.const_kernel(big, uniform(fits))])) == 1
+    fitting = KernelChain(big, [alg.const_kernel(big, uniform(fits))])
     over = Base(FiniteSpace("O", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024 + 1)]))
-    with pytest.raises(KernelAlgError, match="after step 1 has 1049600 atoms"):
-        KernelChain(big, [alg.const_kernel(big, uniform(over))])
+    too_big = KernelChain(big, [alg.const_kernel(big, uniform(over))])
+    with monkeypatch.context() as patch:
+        for name in ("Product", "prod_mk_left", "compose", "comp_prod"):
+            patch.setattr(sequential, name, None)
+        with pytest.raises(KernelAlgError) as exc:
+            traj_kernel(chain, 40)
+        assert str(exc.value) == (
+            "history space after step 12 has 1594323 atoms, above the limit of 1048576"
+        )
+        with pytest.raises(KernelAlgError, match="after step 1 has 1049600 atoms"):
+            traj_kernel(too_big, 1)
+    assert traj_kernel(fitting, 1) is fitting.steps[0]
+    assert traj_kernel(chain, 11).codomain.size == 3**11
 
 
 def test_step_count_checked_before_building(monkeypatch):
-    """On one atom the history never grows; the step count is bounded instead,
-    before any history product is built."""
+    """The step count is bounded when a chain is declared, before any history
+    product is built, even on one atom, whose history never grows."""
     u = Base(FiniteSpace("U", ["a"]))
     k = alg.identity_kernel(u)
     assert len(markov_chain(dirac(u, "a"), k, MAX_CHAIN_STEPS)) == MAX_CHAIN_STEPS
@@ -454,18 +514,18 @@ def test_projection_consistency_matches_random_variable_route():
 
 
 def test_trajectory_kernel_size_checked_before_building(monkeypatch):
-    """traj_kernel refuses a result above algebra.MAX_DENSE_ENTRIES before any
-    pairing; valid chains stay below it, so the limit is lowered here."""
+    """traj_kernel refuses a history space above MAX_HISTORY_ATOMS before any
+    pairing; the limit is lowered here so that a small chain reaches it."""
     w = Base(FiniteSpace("T", ["a", "b", "c"]))
     chain = markov_chain(uniform(w), alg.const_kernel(w, uniform(w)), 4)
     assert traj_kernel(chain, 3).codomain.size == 27
     with monkeypatch.context() as patch:
-        patch.setattr(alg, "MAX_DENSE_ENTRIES", 81)
+        patch.setattr(sequential, "MAX_HISTORY_ATOMS", 81)
         patch.setattr(sequential, "comp_prod", None)
         patch.setattr(sequential, "compose", None)
         assert traj_kernel(chain, 1).codomain.size == 3
         with pytest.raises(KernelAlgError) as exc:
             traj_kernel(chain, 4)
         assert str(exc.value) == (
-            "traj_kernel result of 3 x 81 = 243 entries, above the limit of 81"
+            "history space after step 4 has 243 atoms, above the limit of 81"
         )
