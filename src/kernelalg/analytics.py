@@ -67,6 +67,10 @@ _GRID_SLACK = 1e-12
 # each point costs one exact mgf per in-scope row.
 MAX_GRID_POINTS = 100_000
 
+# Most (sum, value) pairs hoeffding_check's convolution may visit; more is
+# refused before the variable is certified.
+MAX_HOEFFDING_PAIRS = 1 << 22
+
 
 # -- the exact-to-float boundary --------------------------------------------------
 
@@ -625,7 +629,11 @@ def hoeffding_check(
 
     The tail P(sum >= t) is computed by exact convolution of the value
     distribution, so `holds` compares an exact rational against the float
-    bound with no statistical or rounding doubt on the left side.
+    bound with no statistical or rounding doubt on the left side.  The law is
+    an integer row: weights over mu's denominator at the integer positions
+    v * scale, where scale is the lcm of the denominators of the values that
+    carry mass.  A convolution of more than MAX_HOEFFDING_PAIRS (sum, value)
+    pairs is refused before the variable is certified.
     The variable must certify sub-Gaussian with constant sigma^2 first: by
     bounded range if that gives a constant <= sigma^2, otherwise by an
     explicit grid check at sigma^2.
@@ -639,6 +647,14 @@ def hoeffding_check(
     if sigma_sq <= 0:
         raise NotCertified("sigma^2 must be positive")
     scope = PlainMeasureScope(mu)
+    (row,) = _scope_rows(x, scope)
+    mass = [(m, v) for m, v in zip(row.nums, x.values) if m]
+    scale = math.lcm(*(v.denominator for _, v in mass))
+    law: dict = {}
+    for m, v in mass:
+        key = v.numerator * (scale // v.denominator)
+        law[key] = law.get(key, 0) + m
+    _check_convolution_size(law, n)
     try:
         certificate = certify_bounded_range(x, scope)
         if certificate.constant > sigma_sq:
@@ -650,20 +666,16 @@ def hoeffding_check(
             f"variable does not certify sub-Gaussian at {sigma_sq}: {exc}"
         ) from exc
 
-    # Exact law of the variable, then n-fold convolution.
-    law: dict = {}
-    for m, v in zip(mu.require_probability().nums, x.values):
-        if m:
-            law[v] = law.get(v, Fraction(0)) + Fraction(m, mu.den)
     total = dict(law)
     for _ in range(n - 1):
         nxt: dict = {}
         for s, p in total.items():
             for v, q in law.items():
                 key = s + v
-                nxt[key] = nxt.get(key, Fraction(0)) + p * q
+                nxt[key] = nxt.get(key, 0) + p * q
         total = nxt
-    tail = sum((p for s, p in total.items() if s >= t), Fraction(0))
+    at = t * scale
+    tail = Fraction(sum(p for s, p in total.items() if s >= at), row.den**n)
     bound = _exp(-t * t / (2 * n * sigma_sq))
     return HoeffdingReport(
         exact_tail=tail,
@@ -673,3 +685,21 @@ def hoeffding_check(
         threshold=t,
         certificate=certificate,
     )
+
+
+def _check_convolution_size(law: dict, n: int):
+    """Refuse an n-fold convolution of `law` past MAX_HOEFFDING_PAIRS.
+
+    Its k positions lie on a lattice of step delta (the gcd of their
+    differences) spanning L steps, so the i-fold law has at most i*L + 1
+    positions and the n - 1 rounds visit at most k * (L*n(n-1)/2 + n - 1)
+    (sum, value) pairs."""
+    keys = sorted(law)
+    delta = math.gcd(*(key - keys[0] for key in keys))
+    span = (keys[-1] - keys[0]) // delta if delta else 0
+    pairs = len(keys) * (span * n * (n - 1) // 2 + n - 1)
+    if pairs > MAX_HOEFFDING_PAIRS:
+        raise KernelAlgError(
+            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs, "
+            f"above the limit of {MAX_HOEFFDING_PAIRS}"
+        )

@@ -55,33 +55,22 @@ def _print_value(value, as_json: bool, log2: bool = False):
     if isinstance(value, float) and log2:
         value = value / _LN2 if not math.isinf(value) else value
     if as_json:
-        from .jsonio import dumps, render_value
+        from .jsonio import dumps
 
-        print(dumps(render_value(value)))
-        return
-    if isinstance(value, Kernel):
+        print(dumps(value))
+    elif isinstance(value, Kernel):
         print(f"kernel : {value.domain} -> {value.codomain}")
         labels = _labels(value.codomain)
         for label, row in zip(_labels(value.domain), value.rows):
             print(f"  {label}: " + _weights_body(labels, row._texts()))
     elif isinstance(value, Measure):
-        print(f"measure on {value.space} = " + _weights_body(_labels(value.space), value._texts()))
+        # a measure or a density table, named by its sort
+        body = _weights_body(_labels(value.space), value._texts())
+        print(f"{value.sort} on {value.space} = {body}")
     elif isinstance(value, bool):
         print("true" if value else "false")
-    elif isinstance(value, float):
-        print("inf" if math.isinf(value) else format(value, ".12g"))
     else:
-        # a density table comes from `disintegration`, so that module is loaded by now
-        from .disintegration import DensityTable
-
-        if isinstance(value, DensityTable):
-            texts = map(_format_rational, value.values)
-            print(
-                f"density on {value.domain} = "
-                + _weights_body(_labels(value.domain), texts)
-            )
-        else:
-            print(value)
+        print("inf" if math.isinf(value) else format(value, ".12g"))
 
 
 def _cmd_eval(args) -> int:

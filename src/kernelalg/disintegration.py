@@ -6,16 +6,19 @@ rows at atoms the first marginal never reaches are set to the uniform row so
 the result is genuinely Markov everywhere.  The uniform choice is symmetric
 under atom reordering; any Markov choice on those null atoms reconstructs the
 same kernel, which the law suite checks as modification invariance.
+
+A Radon-Nikodym derivative is a DensityTable, a Measure on domain x codomain,
+so rn_deriv and with_density compute on integer rows.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from operator import mul
 
 from .algebra import comp_prod, marginal_fst, measure_as_kernel
 from .errors import EmptyCodomainZ, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, uniform
-from .scalar import ZERO, Scalar, _ratio, as_scalar
 from .spaces import Product, SpaceExpr
 
 __all__ = [
@@ -33,34 +36,24 @@ __all__ = [
 ]
 
 
-class DensityTable:
-    """A total finite table of density values on a space expression."""
+class DensityTable(Measure):
+    """A total finite table of density values on a space expression.
 
-    __slots__ = ("domain", "values")
+    It is a Measure on that space (`domain`), held as the same integer row:
+    `values` are its `weights`, Scalars built on first read.  It prints as a
+    density and never equals a Measure with the same data.
+    """
 
-    def __init__(self, domain: SpaceExpr, values):
-        values = tuple(as_scalar(v) for v in values)
-        if len(values) != domain.size:
-            raise SpaceMismatch(
-                f"space {domain} has {domain.size} atoms, got {len(values)} values"
-            )
-        self.domain = domain
-        self.values = values
+    __slots__ = ()
+    sort, entries = "density", "values"
+    domain, values, value = Measure.space, Measure.weights, Measure.weight
 
     @classmethod
     def constant(cls, domain: SpaceExpr, value) -> "DensityTable":
-        return cls(domain, (as_scalar(value),) * domain.size)
-
-    def value(self, atom) -> Scalar:
-        return self.values[self.domain.index_of(atom)]
-
-    def __eq__(self, other):
-        if not isinstance(other, DensityTable):
-            return NotImplemented
-        return self.domain == other.domain and self.values == other.values
+        return cls(domain, (value,) * domain.size)
 
     def __repr__(self):
-        return f"DensityTable({self.domain}, {len(self.values)} values)"
+        return f"DensityTable({self.space}, {self.space.size} values)"
 
 
 class RNDecomposition:
@@ -136,20 +129,18 @@ def is_cond_kernel(kappa: Kernel, eta: Kernel) -> bool:
 def with_density(eta: Kernel, f: DensityTable) -> Kernel:
     """Reweight a kernel atomwise: row(x)({y}) = f((x, y)) * eta(x)({y})."""
     expected = Product(eta.domain, eta.codomain)
-    if f.domain != expected:
+    if f.space != expected:
         raise SpaceMismatch(
-            f"density table lives on {f.domain}, expected {expected}"
+            f"density table lives on {f.space}, expected {expected}"
         )
-    ny = eta.codomain.size
-    rows = []
-    for xi, row in enumerate(eta.rows):
-        values = f.values[xi * ny : (xi + 1) * ny]
-        scale = lcm(*(v.denominator for v in values))
-        nums = tuple(
-            n * v.numerator * (scale // v.denominator) for n, v in zip(row.nums, values)
+    ny, fnums, fden = eta.codomain.size, f.nums, f.den
+    rows = tuple(
+        Measure._reduce(
+            eta.codomain, tuple(map(mul, row.nums, fnums[xi * ny : xi * ny + ny])), row.den * fden
         )
-        rows.append(Measure._reduce(eta.codomain, nums, row.den * scale))
-    return Kernel._unchecked(eta.domain, eta.codomain, tuple(rows))
+        for xi, row in enumerate(eta.rows)
+    )
+    return Kernel._unchecked(eta.domain, eta.codomain, rows)
 
 
 def _check_same_shape(kappa: Kernel, eta: Kernel):
@@ -168,14 +159,15 @@ def rn_deriv(kappa: Kernel, eta: Kernel) -> DensityTable:
     reconstructs kappa exactly.
     """
     _check_same_shape(kappa, eta)
-    values = []
-    for ka, ea in zip(kappa.rows, eta.rows):
-        # (nk / Dk) / (ne / De) = nk * De / (Dk * ne)
-        dk, de = ka.den, ea.den
-        values.extend(
-            _ratio(nk * de, dk * ne) if ne else ZERO for nk, ne in zip(ka.nums, ea.nums)
-        )
-    return DensityTable(Product(kappa.domain, kappa.codomain), values)
+    pairs = tuple(zip(kappa.rows, eta.rows))
+    # (nk / Dk) / (ne / De) = nk * De / (Dk * ne), every entry over one lcm
+    den = lcm(*(ka.den * ne for ka, ea in pairs for ne in ea.nums if ne))
+    nums = tuple(
+        nk * ea.den * (den // (ka.den * ne)) if ne else 0
+        for ka, ea in pairs
+        for nk, ne in zip(ka.nums, ea.nums)
+    )
+    return DensityTable._reduce(Product(kappa.domain, kappa.codomain), nums, den)
 
 
 def singular_part(kappa: Kernel, eta: Kernel) -> Kernel:

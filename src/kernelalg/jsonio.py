@@ -4,16 +4,18 @@ The contract: rationals are "p/q" strings in lowest terms, finite floats are
 numbers printed with 12 significant digits, infinity is the string "inf", and
 key order is fixed by construction, so identical inputs and flags produce
 byte-identical output.
+
+A kernel, measure or density is written straight from its integer rows: each
+atom label is JSON-encoded once per call, and each "p/q" text, which holds
+only digits and "/", is quoted as it is.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 from .measures import Kernel, Measure
-from .scalar import _format_rational
 from .spaces import format_atom
 
 
@@ -23,59 +25,40 @@ def format_float(value: float) -> str:
     return format(value, ".12g")
 
 
-def dumps(tree) -> str:
-    """Serialize a tree of dicts/lists/scalars, preserving dict order."""
-    if isinstance(tree, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in tree.items())
-        return "{" + inner + "}"
-    if isinstance(tree, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in tree) + "]"
-    if isinstance(tree, bool):
-        return "true" if tree else "false"
-    if isinstance(tree, float):
-        return format_float(tree)
-    if isinstance(tree, int):
-        return str(tree)
-    if isinstance(tree, Fraction):
-        return json.dumps(_format_rational(tree))
-    if tree is None:
-        return "null"
-    return json.dumps(tree)
-
-
-def render_value(value):
-    """Turn a core value into a JSON-ready tree with stable key order."""
+def dumps(value) -> str:
+    """Serialize a kernel, measure or density, or a tree of dicts, lists,
+    strings, bools and floats, preserving dict order."""
     if isinstance(value, Measure):
-        return {
-            "sort": "measure",
-            "space": str(value.space),
-            "weights": {
-                format_atom(a): t for a, t in zip(value.space.atoms, value._texts())
-            },
-        }
+        return (
+            f'{{"sort":"{value.sort}","space":{json.dumps(str(value.space))},'
+            f'"{value.entries}":{_row(_keys(value.space), value)}}}'
+        )
     if isinstance(value, Kernel):
-        labels = [format_atom(b) for b in value.codomain.atoms]
-        return {
-            "sort": "kernel",
-            "domain": str(value.domain),
-            "codomain": str(value.codomain),
-            "rows": {
-                format_atom(a): dict(zip(labels, row._texts()))
-                for a, row in zip(value.domain.atoms, value.rows)
-            },
-        }
-    if isinstance(value, (bool, float)):
-        return value
-    # a density table comes from `disintegration`, so that module is loaded by now
-    from .disintegration import DensityTable
+        keys = _keys(value.codomain)
+        rows = ",".join(
+            f"{label}:{_row(keys, row)}" for label, row in zip(_keys(value.domain), value.rows)
+        )
+        return (
+            f'{{"sort":"kernel","domain":{json.dumps(str(value.domain))},'
+            f'"codomain":{json.dumps(str(value.codomain))},"rows":{{{rows}}}}}'
+        )
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(dumps(v) for v in value) + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_float(value)
+    return json.dumps(value)
 
-    if isinstance(value, DensityTable):
-        return {
-            "sort": "density",
-            "space": str(value.domain),
-            "values": {
-                format_atom(a): _format_rational(v)
-                for a, v in zip(value.domain.atoms, value.values)
-            },
-        }
-    return value
+
+def _keys(space) -> list:
+    """Every atom of the space as a JSON string, in atom order."""
+    return [json.dumps(format_atom(a)) for a in space.atoms]
+
+
+def _row(keys, row: Measure) -> str:
+    """`{key:"p/q",...}` of a row's weights, paired with keys in atom order."""
+    return "{" + ",".join(f'{k}:"{t}"' for k, t in zip(keys, row._texts())) + "}"

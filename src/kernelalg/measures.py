@@ -33,14 +33,17 @@ class Measure:
 
     `nums[i] / den` is the weight of atom i, and the pair is canonical:
     den >= 1 and gcd(den, *nums) == 1, so the zero measure has den 1.  Exact
-    equality and hashing are tuple operations on it.  `weights` is the same
-    row as a tuple of Scalars, built on its first read and cached, an
-    idempotent write.  The constructor takes ints and Fractions, refuses
-    anything else with TypeError and a negative weight with NegativeScalar,
-    and builds no Scalar.
+    equality and hashing are tuple operations on it; a value equals only
+    values of its own class, so a DensityTable never equals a Measure.
+    `weights` is the same row as a tuple of Scalars, built on its first read
+    and cached, an idempotent write.  The constructor takes ints and
+    Fractions, refuses anything else with TypeError and a negative weight
+    with NegativeScalar, and builds no Scalar.
     """
 
     __slots__ = ("space", "nums", "den", "_weights")
+    # the writers' names for this sort and for its entries
+    sort, entries = "measure", "weights"
 
     def __init__(self, space: SpaceExpr, weights):
         pairs = tuple(map(_checked, weights))
@@ -159,7 +162,7 @@ class Measure:
     # -- identity -------------------------------------------------------------
 
     def __eq__(self, other):
-        if not isinstance(other, Measure):
+        if type(other) is not type(self):
             return NotImplemented
         return self.den == other.den and self.nums == other.nums and self.space == other.space
 

@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import NegativeScalar
 
-__all__ = ["Scalar", "ZERO", "ONE", "as_scalar"]
+__all__ = ["Scalar", "ZERO", "ONE"]
 
 _EXACT = (int, Fraction)
 
@@ -110,13 +110,6 @@ def _checked(value) -> tuple:
     if n < 0:
         raise NegativeScalar(f"scalar must be nonnegative, got {_format_ratio(n, d)}")
     return n, d
-
-
-def as_scalar(value) -> Scalar:
-    """An int, Fraction or Scalar as a Scalar, checked nonnegative."""
-    if type(value) is Scalar:
-        return value
-    return _ratio(*_checked(value))
 
 
 ZERO = _ratio(0, 1)

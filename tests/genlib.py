@@ -8,6 +8,7 @@ the library's own code paths (explicit sums, full rectangle enumeration).
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -28,6 +29,7 @@ from kernelalg.algebra import (
 )
 from kernelalg.bayes import BayesReport
 from kernelalg.conditioning import cond_distrib
+from kernelalg.disintegration import DensityTable
 from kernelalg.document import MAX_NESTING
 from kernelalg.errors import KdSyntaxError, KernelAlgError, SpaceMismatch
 from kernelalg.laws import LawResult
@@ -307,6 +309,81 @@ def scalar_hoeffding_tail(x, mu, n, t) -> Fraction:
                 nxt[s + v] = nxt.get(s + v, Fraction(0)) + p * q
         total = nxt
     return sum((p for s, p in total.items() if s >= t), Fraction(0))
+
+
+def scalar_rn_deriv(kappa, eta) -> DensityTable:
+    """rn_deriv with one Scalar per entry, each reduced by its own gcd."""
+    values = [
+        ZERO if we.is_zero() else wk / we
+        for ka, ea in zip(kappa.rows, eta.rows)
+        for wk, we in zip(ka.weights, ea.weights)
+    ]
+    return DensityTable(Product(kappa.domain, kappa.codomain), values)
+
+
+def scalar_with_density(eta, f) -> Kernel:
+    """with_density as one product of Scalar views per entry."""
+    ny = eta.codomain.size
+    return Kernel(eta.domain, eta.codomain, [
+        Measure(eta.codomain, [w * v for w, v in zip(row.weights, f.values[xi * ny :])])
+        for xi, row in enumerate(eta.rows)
+    ])
+
+
+def render_value(value):
+    """A kernel, measure or density as the JSON writer's dict tree of Scalar texts."""
+    if isinstance(value, DensityTable):
+        return {
+            "sort": "density",
+            "space": str(value.domain),
+            "values": {format_atom(a): v for a, v in zip(value.domain.atoms, value.values)},
+        }
+    if isinstance(value, Measure):
+        return {
+            "sort": "measure",
+            "space": str(value.space),
+            "weights": {format_atom(a): w for a, w in value.items()},
+        }
+    if isinstance(value, Kernel):
+        return {
+            "sort": "kernel",
+            "domain": str(value.domain),
+            "codomain": str(value.codomain),
+            "rows": {format_atom(a): render_value(row)["weights"]
+                     for a, row in zip(value.domain.atoms, value.rows)},
+        }
+    return value
+
+
+def tree_dumps(tree) -> str:
+    """The recursive JSON encoder of render_value's trees, one value at a time."""
+    if isinstance(tree, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{tree_dumps(v)}" for k, v in tree.items())
+        return "{" + inner + "}"
+    if isinstance(tree, (list, tuple)):
+        return "[" + ",".join(tree_dumps(v) for v in tree) + "]"
+    if isinstance(tree, bool):
+        return "true" if tree else "false"
+    if isinstance(tree, float):
+        return '"inf"' if math.isinf(tree) else format(tree, ".12g")
+    if isinstance(tree, Fraction):
+        return json.dumps(str(tree))
+    return json.dumps(tree)
+
+
+def render_text(value) -> str:
+    """The text writer's lines for a kernel, measure or density, from Scalar views."""
+    def body(space, weights):
+        return "{ " + ", ".join(f"{format_atom(a)}: {w}" for a, w in zip(space.atoms, weights)) + " }"
+
+    if isinstance(value, DensityTable):
+        return f"density on {value.domain} = {body(value.domain, value.values)}\n"
+    if isinstance(value, Measure):
+        return f"measure on {value.space} = {body(value.space, value.weights)}\n"
+    lines = [f"kernel : {value.domain} -> {value.codomain}\n"]
+    lines += [f"  {format_atom(a)}: {body(value.codomain, row.weights)}\n"
+              for a, row in zip(value.domain.atoms, value.rows)]
+    return "".join(lines)
 
 
 def scalar_bayes_check(kappa, mu) -> BayesReport:

@@ -47,7 +47,7 @@ from kernelalg.disintegration import (
 from kernelalg.document import parse_document, serialize_document
 from kernelalg.errors import ExprTypeError
 from kernelalg.exprlang import eval_expr, infer_type, parse_expr
-from kernelalg.jsonio import dumps, render_value
+from kernelalg.jsonio import dumps
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ZERO, Scalar
 from kernelalg.sequential import (
@@ -437,6 +437,6 @@ kernel k3 : ((T x X) x Y) -> Z = {
     node = parse_expr("comp(k,k)")
     infer_type(weather_doc, node)
     value = eval_expr(weather_doc, node)
-    blobs = {dumps(render_value(value)) for _ in range(5)}
+    blobs = {dumps(value) for _ in range(5)}
     assert len(blobs) == 1
     report("frontend round-trip, bracket diagnostics, stable JSON", started, 30.0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -617,6 +618,37 @@ def test_hoeffding_falls_back_to_the_grid_below_the_range_constant():
     # below the variance the grid finds a violation, and nothing certifies
     with pytest.raises(NotCertified, match="mgf bound violated"):
         hoeffding_check(x, mu, Fraction(1, 8), 6, 3)
+
+
+def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
+    # values -3/2, 0, 3 sit at positions -3, 0, 6 on the lattice of step 3 (scale 2),
+    # so L = 3 and 4 rounds visit at most 3 * (3 * 4 * 3 / 2 + 3) = 63 pairs
+    s = Base(FiniteSpace("S", ["lo", "mid", "hi"]))
+    x = RealRV(s, [Fraction(-3, 2), 0, 3])
+    mu = Measure(s, [Fraction(2, 3), 0, Fraction(1, 3)])
+
+    def certified(*args):
+        raise AssertionError("certification ran")
+
+    monkeypatch.setattr(analytics, "certify_bounded_range", certified)
+    monkeypatch.setattr(analytics, "certify_grid", certified)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 62)
+    with pytest.raises(KernelAlgError, match=re.escape(
+        "the 4-fold convolution visits up to 63 (sum, value) pairs, above the limit of 62"
+    )):
+        hoeffding_check(x, uniform(s), 1, 4, 1)
+    # at the limit, the check passes and certification runs next
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 63)
+    with pytest.raises(AssertionError, match="certification ran"):
+        hoeffding_check(x, uniform(s), 1, 4, 1)
+    # a zero-weight atom adds no value: -3 and 6 are one step of 9 apart, L = 1
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 17)
+    with pytest.raises(KernelAlgError, match=r"visits up to 18 \(sum"):
+        hoeffding_check(x, mu, 1, 4, 1)
+    # a single value stays one point: n - 1 pairs
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 5)
+    with pytest.raises(KernelAlgError, match=r"7-fold convolution visits up to 6 \(sum"):
+        hoeffding_check(RealRV(s, [1, 1, 1]), uniform(s), 1, 7, 1)
 
 
 # -- the exact-to-float boundary against the earlier float() routes ----------------------

@@ -300,6 +300,18 @@ def test_certify_kernel_scope(capsys, tmp_path):
     assert "exact mean 1" in err
 
 
+def test_hoeffding_refuses_a_law_too_large_to_convolve(capsys):
+    code, out, err = run(
+        capsys, "hoeffding", str(DOCS / "rademacher.kd"), "--rv", "X", "--measure", "mu",
+        "-n", "1000000", "-t", "1",
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the 1000000-fold convolution visits up to 1000000999998 (sum, value) "
+        "pairs, above the limit of 4194304\n"
+    )
+
+
 def test_hoeffding_sigma2_below_the_range_constant(capsys, tmp_path):
     # spread has variance 1/4 and range constant 1; the grid certifies 1/2
     doc = tmp_path / "scope.kd"

@@ -16,7 +16,7 @@ from kernelalg.disintegration import (
     singular_part,
     with_density,
 )
-from kernelalg.errors import EmptyCodomainZ, SpaceMismatch
+from kernelalg.errors import DimensionMismatch, EmptyCodomainZ, SpaceMismatch
 from kernelalg.measures import Kernel, Measure, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.spaces import Base, FiniteSpace, Product
@@ -176,6 +176,27 @@ def test_with_density_identities():
     assert with_density(eta, ones) == eta
     zeros = DensityTable.constant(table_space, 0)
     assert with_density(eta, zeros) == alg.zero_kernel(x, y)
+
+
+def test_a_density_is_a_measure_that_never_equals_one():
+    a, b = ab01()
+    ab = Product(a, b)
+    values = [Scalar(3, 2), ZERO, 2, Scalar(1, 6)]
+    density, measure = DensityTable(ab, values), Measure(ab, values)
+    assert isinstance(density, Measure) and density.values == measure.weights
+    assert (density.nums, density.den) == (measure.nums, measure.den) == ((9, 0, 12, 1), 6)
+    assert density != measure and measure != density
+    assert not density == measure and not measure == density
+    # equal densities are equal and hash equal, so they can be set members
+    twin = DensityTable.from_dict(ab, {("a", "0"): Scalar(3, 2), ("b", "0"): 2, ("b", "1"): Scalar(1, 6)})
+    assert twin == density and hash(twin) == hash(density) and len({twin, density}) == 1
+    assert DensityTable(ab, [1, 0, 2, Scalar(1, 6)]) != density
+    with pytest.raises(DimensionMismatch, match="has 4 atoms, got 3 weights"):
+        DensityTable(ab, values[:3])
+    # Measure equality is unchanged
+    assert Measure(ab, values) == measure and hash(Measure(ab, values)) == hash(measure)
+    assert Measure(ab, [1, 0, 2, Scalar(1, 6)]) != measure
+    assert repr(density) == "DensityTable((A x B), 4 values)"
 
 
 def test_with_density_atomwise():

@@ -22,7 +22,7 @@ import pytest
 import genlib
 from genlib import compose_oracle, fresh_space, random_measure, random_probability, random_rv
 from kernelalg import algebra as alg
-from kernelalg import bayes, laws
+from kernelalg import bayes, cli, laws
 from kernelalg.analytics import (
     PlainMeasureScope,
     _log_mgf,
@@ -50,11 +50,13 @@ from kernelalg.disintegration import (
     DensityTable,
     absolutely_continuous,
     cond_kernel,
+    rn_deriv,
     singular_part,
     with_density,
 )
 from kernelalg.document import parse_document
 from kernelalg.errors import KernelAlgError
+from kernelalg.jsonio import dumps
 from kernelalg.measures import Kernel, Measure, dirac, uniform, zero_measure
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.sequential import _thresholds
@@ -306,6 +308,64 @@ def test_failed_verdicts_match_scalar_views(monkeypatch):
         assert got["rn-singular-disjoint"] == disjoint
         assert got["rn-ac-iff-no-singular"] == (absolutely_continuous(ka, kb) == is_zero)
     assert failed > 50
+
+
+def density_space(rng):
+    """Unit, empty, a base space of 1-5 atoms or a nested product."""
+    kind = rng.random()
+    if kind < 0.1:
+        return UNIT
+    if kind < 0.2:
+        return Base(FiniteSpace(f"E{rng.randrange(10**6)}", []))
+    if kind < 0.4:
+        return genlib.random_bracketing(rng, genlib.random_leaves(rng, rng.randint(2, 3), 2))
+    return fresh_space(rng, 5)
+
+
+def test_densities_and_writers_match_the_scalar_routes(capsys):
+    """rn_deriv, with_density and both writers against their per-entry routes."""
+    rng = random.Random(22)
+    for _ in range(200):
+        x, y = density_space(rng), density_space(rng)
+        eta = operand(rng, x, y)
+        kappa = eta if rng.random() < 0.1 else operand(rng, x, y)
+        density = rn_deriv(kappa, eta)
+        want = genlib.scalar_rn_deriv(kappa, eta)
+        assert_canonical(density)
+        assert type(density) is DensityTable and density.values == want.values
+        assert density == want and hash(density) == hash(want)
+        f = DensityTable(Product(x, y), random_row(rng, Product(x, y)).weights)
+        for g in (density, f):
+            assert_same_kernel(with_density(eta, g), genlib.scalar_with_density(eta, g))
+        for value in (kappa, eta, random_row(rng, y), density, f):
+            cli._print_value(value, False)
+            assert capsys.readouterr().out == genlib.render_text(value)
+            blob = genlib.tree_dumps(genlib.render_value(value))
+            assert dumps(value) == blob
+            cli._print_value(value, True)
+            assert capsys.readouterr().out == blob + "\n"
+
+
+def test_hoeffding_law_matches_the_fraction_convolution():
+    """The integer law's exact tail against the Fraction-dict convolution, n <= 8."""
+    rng = random.Random(23)
+    for i in range(80):
+        s = fresh_space(rng, 5)
+        mu = random_probability(rng, s, max_den=48, zero_frac=0.3)
+        if i % 10 == 0:
+            values = [Fraction(rng.randint(-9, 9), 4)] * s.size
+        else:
+            values = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in s.atoms]
+        # zero-weight atoms hold values of denominators no weighted value has
+        values = [v if n else Fraction(rng.randint(-10**6, 10**6), 10**9 + 7)
+                  for v, n in zip(values, mu.nums)]
+        f = RealRV(s, values)
+        centred = RealRV(s, [v - f.mean(mu) for v in values])
+        sigma_sq = certify_bounded_range(centred, PlainMeasureScope(mu)).constant or 1
+        for n in range(1, 9):
+            t = Fraction(rng.randint(1, 40), rng.randint(1, 6))
+            assert hoeffding_check(centred, mu, sigma_sq, n, t).exact_tail == \
+                genlib.scalar_hoeffding_tail(centred, mu, n, t)
 
 
 _ARITHMETIC = (
