@@ -67,9 +67,11 @@ _GRID_SLACK = 1e-12
 # each point costs one exact mgf per in-scope row.
 MAX_GRID_POINTS = 100_000
 
-# Most (sum, value) pairs hoeffding_check's convolution may visit; more is
-# refused before the variable is certified.
-MAX_HOEFFDING_PAIRS = 1 << 22
+# Most pair-bits hoeffding_check's convolution may spend: the (sum, value) pairs
+# it visits times n * D.bit_length(), a bound on the bits of every weight.  At
+# about 1.5e10 pair-bits/s (Python 3.11, 2 vCPUs) that is 2 s of integer loop;
+# more is refused before the variable is certified.
+MAX_HOEFFDING_WORK = 1 << 35
 
 
 # -- the exact-to-float boundary --------------------------------------------------
@@ -632,8 +634,8 @@ def hoeffding_check(
     bound with no statistical or rounding doubt on the left side.  The law is
     an integer row: weights over mu's denominator at the integer positions
     v * scale, where scale is the lcm of the denominators of the values that
-    carry mass.  A convolution of more than MAX_HOEFFDING_PAIRS (sum, value)
-    pairs is refused before the variable is certified.
+    carry mass.  A convolution of more than MAX_HOEFFDING_WORK pair-bits is
+    refused before the variable is certified.
     The variable must certify sub-Gaussian with constant sigma^2 first: by
     bounded range if that gives a constant <= sigma^2, otherwise by an
     explicit grid check at sigma^2.
@@ -654,7 +656,7 @@ def hoeffding_check(
     for m, v in mass:
         key = v.numerator * (scale // v.denominator)
         law[key] = law.get(key, 0) + m
-    _check_convolution_size(law, n)
+    _check_convolution_size(law, n, row.den)
     try:
         certificate = certify_bounded_range(x, scope)
         if certificate.constant > sigma_sq:
@@ -687,19 +689,22 @@ def hoeffding_check(
     )
 
 
-def _check_convolution_size(law: dict, n: int):
-    """Refuse an n-fold convolution of `law` past MAX_HOEFFDING_PAIRS.
+def _check_convolution_size(law: dict, n: int, den: int):
+    """Refuse an n-fold convolution of `law` past MAX_HOEFFDING_WORK.
 
     Its k positions lie on a lattice of step delta (the gcd of their
     differences) spanning L steps, so the i-fold law has at most i*L + 1
     positions and the n - 1 rounds visit at most k * (L*n(n-1)/2 + n - 1)
-    (sum, value) pairs."""
+    (sum, value) pairs.  Each pair multiplies weights of at most den**n, so
+    of at most n * den.bit_length() bits."""
     keys = sorted(law)
     delta = math.gcd(*(key - keys[0] for key in keys))
     span = (keys[-1] - keys[0]) // delta if delta else 0
     pairs = len(keys) * (span * n * (n - 1) // 2 + n - 1)
-    if pairs > MAX_HOEFFDING_PAIRS:
+    bits = n * den.bit_length()
+    if pairs * bits > MAX_HOEFFDING_WORK:
         raise KernelAlgError(
-            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs, "
-            f"above the limit of {MAX_HOEFFDING_PAIRS}"
+            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs "
+            f"of weights of up to {bits} bits, {pairs * bits} pair-bits, above "
+            f"the limit of {MAX_HOEFFDING_WORK}"
         )

@@ -4,10 +4,12 @@ A chain fixes a start space and a list of Markov steps, where step i maps the
 left-nested history space (((start x out_1) x out_2) ... x out_i), or in a
 markov_chain only the last state out_i, to the next output space.  The
 trajectory kernel up to horizon n is the iterated sequential pairing of the
-steps; every lift and rebracketing between the last state, the history spaces
-and the growing trajectory product is inserted here, explicitly, so callers
-never juggle associators.  Trajectories exclude the start coordinate: the
-horizon-n trajectory space is the left-nested product of out_1 .. out_n.
+steps.  A product atom's index is the row-major number of its leaf indices
+whatever the bracketing, so no rebracketing moves a row: history atom h reads
+its step's row h mod |domain|, which is h itself for a step over the history
+and the last state, the least significant coordinate, for a last-state step.
+Trajectories exclude the start coordinate: the horizon-n trajectory space is
+the left-nested product of out_1 .. out_n.
 
 Sampling is reproducible by construction: the generator is splitmix64 (the
 exact algorithm is pinned below and in the README), and atoms are drawn by
@@ -31,14 +33,7 @@ from bisect import bisect_right
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from .algebra import (
-    comp_measure,
-    comp_prod,
-    compose,
-    marginal_fst,
-    prod_mk_left,
-    rebracket_kernel,
-)
+from .algebra import comp_measure, comp_prod, marginal_fst
 from .errors import HorizonOutOfRange, KernelAlgError, SpaceMismatch
 from .measures import Kernel, Measure
 from .spaces import Product, SpaceExpr
@@ -227,8 +222,8 @@ class KernelChain:
 
 def markov_chain(initial: Measure, step: Kernel, n: int) -> KernelChain:
     """A homogeneous chain: every one of its n steps is `step`, applied to the
-    last state only.  Nothing history-sized is built; traj_kernel lifts the
-    step to each history space it needs."""
+    last state only.  Nothing history-sized is built; traj_kernel repeats the
+    step's rows over each history space it needs."""
     if step.domain != step.codomain:
         raise SpaceMismatch(
             f"a Markov chain step must be square, got {step.domain} -> {step.codomain}"
@@ -253,7 +248,8 @@ def _check_horizon(chain: KernelChain, n: int):
 
 def traj_kernel(chain: KernelChain, n: int) -> Kernel:
     """Joint kernel of the first n outputs, start space to trajectory space.
-    A last-state step is lifted to its history space with prod_mk_left."""
+    Atom h of start x (trajectory so far) reads its step's row h mod |domain|,
+    so a last-state step's rows repeat as a block."""
     _check_horizon(chain, n)
     size = chain.start.size
     for i, step in enumerate(chain.steps[:n], 1):
@@ -263,17 +259,11 @@ def traj_kernel(chain: KernelChain, n: int) -> Kernel:
                 f"history space after step {i} has {size} atoms, above the "
                 f"limit of {MAX_HISTORY_ATOMS}"
             )
-    reads_last = chain._reads_last(n)
     xi = chain.steps[0]
-    history = Product(chain.start, xi.codomain)
-    for i in range(1, n):
-        step = chain.steps[i]
-        if reads_last[i]:
-            step = prod_mk_left(history.left, step)
-        lift_dom = Product(chain.start, xi.codomain)
-        lifted = compose(step, rebracket_kernel(lift_dom, history))
-        xi = comp_prod(xi, lifted)
-        history = Product(history, step.codomain)
+    for step in chain.steps[1:n]:
+        dom = Product(chain.start, xi.codomain)
+        rows = step.rows * (dom.size // max(step.domain.size, 1))
+        xi = comp_prod(xi, Kernel._unchecked(dom, step.codomain, rows))
     return xi
 
 

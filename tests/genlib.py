@@ -19,6 +19,7 @@ from itertools import product as iter_product
 from kernelalg import analytics, bayes
 from kernelalg.algebra import (
     comp_measure,
+    comp_prod,
     compose,
     copy_kernel,
     deterministic,
@@ -26,6 +27,7 @@ from kernelalg.algebra import (
     prod_mk_left,
     prod_mk_right,
     pushforward,
+    rebracket_kernel,
 )
 from kernelalg.bayes import BayesReport
 from kernelalg.conditioning import cond_distrib
@@ -627,6 +629,26 @@ def explicit_chain(mu, k, n):
         steps.append(prod_mk_left(history, k))
         history = Product(history, k.codomain)
     return KernelChain(k.domain, steps, mu)
+
+
+def lifted_traj_kernel(chain, n) -> Kernel:
+    """`sequential.traj_kernel` as kernel algebra: a last-state step is lifted
+    to its history space with prod_mk_left, and every step is composed with
+    the rebracketing from start x (trajectory so far) to that history space.
+    The library reads each step's rows on start x (trajectory so far) as they
+    stand, since both bracketings number their atoms alike."""
+    reads_last = chain._reads_last(n)
+    xi = chain.steps[0]
+    history = Product(chain.start, xi.codomain)
+    for i in range(1, n):
+        step = chain.steps[i]
+        if reads_last[i]:
+            step = prod_mk_left(history.left, step)
+        lift_dom = Product(chain.start, xi.codomain)
+        lifted = compose(step, rebracket_kernel(lift_dom, history))
+        xi = comp_prod(xi, lifted)
+        history = Product(history, step.codomain)
+    return xi
 
 
 def sample_oracle(chain, n, seed, count, initial=None):

@@ -622,7 +622,8 @@ def test_hoeffding_falls_back_to_the_grid_below_the_range_constant():
 
 def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
     # values -3/2, 0, 3 sit at positions -3, 0, 6 on the lattice of step 3 (scale 2),
-    # so L = 3 and 4 rounds visit at most 3 * (3 * 4 * 3 / 2 + 3) = 63 pairs
+    # so L = 3 and 4 rounds visit at most 3 * (3 * 4 * 3 / 2 + 3) = 63 pairs; the
+    # uniform weights are over D = 3, so each weight has at most 4 * 2 = 8 bits
     s = Base(FiniteSpace("S", ["lo", "mid", "hi"]))
     x = RealRV(s, [Fraction(-3, 2), 0, 3])
     mu = Measure(s, [Fraction(2, 3), 0, Fraction(1, 3)])
@@ -632,23 +633,49 @@ def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
 
     monkeypatch.setattr(analytics, "certify_bounded_range", certified)
     monkeypatch.setattr(analytics, "certify_grid", certified)
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 62)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 503)
     with pytest.raises(KernelAlgError, match=re.escape(
-        "the 4-fold convolution visits up to 63 (sum, value) pairs, above the limit of 62"
+        "the 4-fold convolution visits up to 63 (sum, value) pairs of weights of "
+        "up to 8 bits, 504 pair-bits, above the limit of 503"
     )):
         hoeffding_check(x, uniform(s), 1, 4, 1)
     # at the limit, the check passes and certification runs next
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 63)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 504)
     with pytest.raises(AssertionError, match="certification ran"):
         hoeffding_check(x, uniform(s), 1, 4, 1)
     # a zero-weight atom adds no value: -3 and 6 are one step of 9 apart, L = 1
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 17)
-    with pytest.raises(KernelAlgError, match=r"visits up to 18 \(sum"):
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 143)
+    with pytest.raises(KernelAlgError, match=r"visits up to 18 \(sum.* 144 pair-bits"):
         hoeffding_check(x, mu, 1, 4, 1)
     # a single value stays one point: n - 1 pairs
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_PAIRS", 5)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 83)
     with pytest.raises(KernelAlgError, match=r"7-fold convolution visits up to 6 \(sum"):
         hoeffding_check(RealRV(s, [1, 1, 1]), uniform(s), 1, 7, 1)
+
+
+def test_hoeffding_work_limit_counts_the_bits_of_the_weights(monkeypatch):
+    """Under the default limit, a Rademacher sum of 2047 terms is accepted, and a
+    mean-zero law over a 60-bit denominator is refused at the same n, before
+    any convolution or certification."""
+
+    def certified(*args):
+        raise AssertionError("certification ran")
+
+    monkeypatch.setattr(analytics, "certify_bounded_range", certified)
+    monkeypatch.setattr(analytics, "certify_grid", certified)
+    s = Base(FiniteSpace("S", ["lo", "hi"]))
+    with pytest.raises(AssertionError, match="certification ran"):
+        hoeffding_check(RealRV(s, [-1, 1]), uniform(s), 1, 2047, 1)
+    p, q = 2**59 + 1, 2**59 - 93
+    mu = Measure(s, [Fraction(p, p + q), Fraction(q, p + q)])
+    assert mu.den.bit_length() == 60
+    with pytest.raises(KernelAlgError) as exc:
+        hoeffding_check(RealRV(s, [-q, p]), mu, 1, 2047, 1)
+    assert str(exc.value) == (
+        "the 2047-fold convolution visits up to 4192254 (sum, value) pairs of "
+        "weights of up to 122820 bits, 514892636280 pair-bits, above the limit "
+        "of 34359738368"
+    )
 
 
 # -- the exact-to-float boundary against the earlier float() routes ----------------------

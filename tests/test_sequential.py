@@ -371,14 +371,13 @@ def test_sample_matches_dict_keyed_oracle():
 
 
 def test_long_markov_chain_declares_fast_and_samples_like_oracle(monkeypatch):
-    """A markov chain holds its step: with no Product and no lift to call, 64
-    steps on 3 states declare and sample like the reference."""
+    """A markov chain holds its step: with no Product to call, 64 steps on 3
+    states declare and sample like the reference."""
     rng = random.Random(64)
     w = Base(FiniteSpace("T", ["a", "b", "c"]))
     k, mu = random_markov_kernel(rng, w, w, zero_frac=0.3), random_probability(rng, w)
     with monkeypatch.context() as patch:
         patch.setattr(sequential, "Product", None)
-        patch.setattr(sequential, "prod_mk_left", None)
         chain = markov_chain(mu, k, MAX_CHAIN_STEPS)
         got = sample(chain, MAX_CHAIN_STEPS, 3, 500)
     assert chain.steps == (k,) * MAX_CHAIN_STEPS
@@ -450,7 +449,7 @@ def test_history_size_checked_before_building(monkeypatch):
     over = Base(FiniteSpace("O", [str(i) for i in range(MAX_HISTORY_ATOMS // 1024 + 1)]))
     too_big = KernelChain(big, [alg.const_kernel(big, uniform(over))])
     with monkeypatch.context() as patch:
-        for name in ("Product", "prod_mk_left", "compose", "comp_prod"):
+        for name in ("Product", "Kernel", "comp_prod"):
             patch.setattr(sequential, name, None)
         with pytest.raises(KernelAlgError) as exc:
             traj_kernel(chain, 40)
@@ -513,6 +512,52 @@ def test_projection_consistency_matches_random_variable_route():
                 assert genlib.rv_projection_consistency(chain, n, m)
 
 
+def random_step(rng, dom, cod):
+    """A Markov kernel dom -> cod, one time in three a map kernel."""
+    if rng.random() < 1 / 3 and (cod.size or not dom.size):
+        return alg.deterministic(genlib.random_rv(rng, dom, cod))
+    return random_markov_kernel(rng, dom, cod, zero_frac=0.3)
+
+
+def random_nested_space(rng):
+    """One to three leaves of up to 2 atoms, some unit or empty, nested at random."""
+    return genlib.random_bracketing(
+        rng, genlib.random_leaves(rng, rng.randint(1, 3), max_atoms=2)
+    )
+
+
+def test_traj_kernel_matches_the_lifted_route():
+    """traj_kernel reads each step's rows on start x (trajectory so far); the
+    lifted route composes prod_mk_left lifts with rebracketings.  They agree
+    exactly at every horizon: on history chains of 1-4 steps over nested
+    products, on markov chains of 1-6 steps, with map-kernel steps, and over
+    unit and empty spaces."""
+    rng = random.Random(23)
+    chains = []
+    for _ in range(60):
+        start, *outs = (random_nested_space(rng) for _ in range(rng.randint(2, 5)))
+        if start.size:
+            outs = [out if out.size else UNIT for out in outs]
+        history, steps = start, []
+        for out in outs:
+            steps.append(random_step(rng, history, out))
+            history = Product(history, out)
+        chains.append(KernelChain(start, steps))
+    for _ in range(60):
+        s = random_nested_space(rng)
+        k, n = random_step(rng, s, s), rng.randint(1, 6)
+        if s.size:
+            chains.append(markov_chain(random_probability(rng, s), k, n))
+        else:
+            chains.append(KernelChain._unchecked(s, (k,) * n, None))
+    assert any(chain.start.size == 0 for chain in chains)
+    assert any(chain.start is UNIT for chain in chains)
+    assert any(step.index_map is not None for chain in chains for step in chain.steps[1:])
+    for chain in chains:
+        for n in range(1, len(chain) + 1):
+            assert traj_kernel(chain, n) == genlib.lifted_traj_kernel(chain, n)
+
+
 def test_trajectory_kernel_size_checked_before_building(monkeypatch):
     """traj_kernel refuses a history space above MAX_HISTORY_ATOMS before any
     pairing; the limit is lowered here so that a small chain reaches it."""
@@ -522,7 +567,7 @@ def test_trajectory_kernel_size_checked_before_building(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sequential, "MAX_HISTORY_ATOMS", 81)
         patch.setattr(sequential, "comp_prod", None)
-        patch.setattr(sequential, "compose", None)
+        patch.setattr(sequential, "Kernel", None)
         assert traj_kernel(chain, 1).codomain.size == 3
         with pytest.raises(KernelAlgError) as exc:
             traj_kernel(chain, 4)
