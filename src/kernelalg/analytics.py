@@ -67,11 +67,13 @@ _GRID_SLACK = 1e-12
 # each point costs one exact mgf per in-scope row.
 MAX_GRID_POINTS = 100_000
 
-# Most pair-bits hoeffding_check's convolution may spend: the (sum, value) pairs
-# it visits times n * D.bit_length(), a bound on the bits of every weight.  At
-# about 1.5e10 pair-bits/s (Python 3.11, 2 vCPUs) that is 2 s of integer loop;
-# more is refused before the variable is certified.
+# Most pair-bits hoeffding_check's convolution may spend: each (sum, value) pair
+# it visits costs n * D.bit_length(), a bound on the bits of every weight, plus
+# PAIR_OVERHEAD_BITS of fixed dict work (98-110 ns measured).  At about 1.5e10
+# pair-bits/s (Python 3.11, 2 vCPUs) that is about 2 s of integer loop; more is
+# refused before the variable is certified.
 MAX_HOEFFDING_WORK = 1 << 35
+PAIR_OVERHEAD_BITS = 1600
 
 
 # -- the exact-to-float boundary --------------------------------------------------
@@ -696,15 +698,16 @@ def _check_convolution_size(law: dict, n: int, den: int):
     differences) spanning L steps, so the i-fold law has at most i*L + 1
     positions and the n - 1 rounds visit at most k * (L*n(n-1)/2 + n - 1)
     (sum, value) pairs.  Each pair multiplies weights of at most den**n, so
-    of at most n * den.bit_length() bits."""
+    of at most n * den.bit_length() bits, plus PAIR_OVERHEAD_BITS fixed."""
     keys = sorted(law)
     delta = math.gcd(*(key - keys[0] for key in keys))
     span = (keys[-1] - keys[0]) // delta if delta else 0
     pairs = len(keys) * (span * n * (n - 1) // 2 + n - 1)
     bits = n * den.bit_length()
-    if pairs * bits > MAX_HOEFFDING_WORK:
+    work = pairs * (bits + PAIR_OVERHEAD_BITS)
+    if work > MAX_HOEFFDING_WORK:
         raise KernelAlgError(
-            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs "
-            f"of weights of up to {bits} bits, {pairs * bits} pair-bits, above "
-            f"the limit of {MAX_HOEFFDING_WORK}"
+            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs of "
+            f"weights of up to {bits} bits, {pairs} * ({bits} + {PAIR_OVERHEAD_BITS})"
+            f" = {work} pair-bits, above the limit of {MAX_HOEFFDING_WORK}"
         )

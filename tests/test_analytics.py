@@ -623,7 +623,8 @@ def test_hoeffding_falls_back_to_the_grid_below_the_range_constant():
 def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
     # values -3/2, 0, 3 sit at positions -3, 0, 6 on the lattice of step 3 (scale 2),
     # so L = 3 and 4 rounds visit at most 3 * (3 * 4 * 3 / 2 + 3) = 63 pairs; the
-    # uniform weights are over D = 3, so each weight has at most 4 * 2 = 8 bits
+    # uniform weights are over D = 3, so each weight has at most 4 * 2 = 8 bits,
+    # and each pair also pays the fixed PAIR_OVERHEAD_BITS = 1600
     s = Base(FiniteSpace("S", ["lo", "mid", "hi"]))
     x = RealRV(s, [Fraction(-3, 2), 0, 3])
     mu = Measure(s, [Fraction(2, 3), 0, Fraction(1, 3)])
@@ -633,22 +634,23 @@ def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
 
     monkeypatch.setattr(analytics, "certify_bounded_range", certified)
     monkeypatch.setattr(analytics, "certify_grid", certified)
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 503)
+    assert analytics.PAIR_OVERHEAD_BITS == 1600
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 101303)
     with pytest.raises(KernelAlgError, match=re.escape(
         "the 4-fold convolution visits up to 63 (sum, value) pairs of weights of "
-        "up to 8 bits, 504 pair-bits, above the limit of 503"
+        "up to 8 bits, 63 * (8 + 1600) = 101304 pair-bits, above the limit of 101303"
     )):
         hoeffding_check(x, uniform(s), 1, 4, 1)
     # at the limit, the check passes and certification runs next
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 504)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 101304)
     with pytest.raises(AssertionError, match="certification ran"):
         hoeffding_check(x, uniform(s), 1, 4, 1)
     # a zero-weight atom adds no value: -3 and 6 are one step of 9 apart, L = 1
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 143)
-    with pytest.raises(KernelAlgError, match=r"visits up to 18 \(sum.* 144 pair-bits"):
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 28943)
+    with pytest.raises(KernelAlgError, match=r"visits up to 18 \(sum.* 28944 pair-bits"):
         hoeffding_check(x, mu, 1, 4, 1)
     # a single value stays one point: n - 1 pairs
-    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 83)
+    monkeypatch.setattr(analytics, "MAX_HOEFFDING_WORK", 9683)
     with pytest.raises(KernelAlgError, match=r"7-fold convolution visits up to 6 \(sum"):
         hoeffding_check(RealRV(s, [1, 1, 1]), uniform(s), 1, 7, 1)
 
@@ -656,7 +658,9 @@ def test_hoeffding_refuses_a_convolution_past_the_limit(monkeypatch):
 def test_hoeffding_work_limit_counts_the_bits_of_the_weights(monkeypatch):
     """Under the default limit, a Rademacher sum of 2047 terms is accepted, and a
     mean-zero law over a 60-bit denominator is refused at the same n, before
-    any convolution or certification."""
+    any convolution or certification.  A uniform law on 2000 odd integers has
+    D = 2000, so its weights are small, but each pair still costs dict work:
+    it is accepted at n = 3 (1.2e7 pairs) and refused at n = 4 and 10."""
 
     def certified(*args):
         raise AssertionError("certification ran")
@@ -673,9 +677,21 @@ def test_hoeffding_work_limit_counts_the_bits_of_the_weights(monkeypatch):
         hoeffding_check(RealRV(s, [-q, p]), mu, 1, 2047, 1)
     assert str(exc.value) == (
         "the 2047-fold convolution visits up to 4192254 (sum, value) pairs of "
-        "weights of up to 122820 bits, 514892636280 pair-bits, above the limit "
-        "of 34359738368"
+        "weights of up to 122820 bits, 4192254 * (122820 + 1600) = 521600242680 "
+        "pair-bits, above the limit of 34359738368"
     )
+    s = Base(FiniteSpace("S", [f"a{i}" for i in range(2000)]))
+    x = RealRV(s, list(range(-1999, 2000, 2)))
+    with pytest.raises(AssertionError, match="certification ran"):
+        hoeffding_check(x, uniform(s), 1, 3, 1)
+    with pytest.raises(KernelAlgError, match=re.escape(
+        "the 4-fold convolution visits up to 23994000 (sum, value) pairs of "
+        "weights of up to 44 bits, 23994000 * (44 + 1600) = 39446136000 "
+        "pair-bits, above the limit of 34359738368"
+    )):
+        hoeffding_check(x, uniform(s), 1, 4, 1)
+    with pytest.raises(KernelAlgError, match=r"10-fold convolution visits up to 179928000 \(sum"):
+        hoeffding_check(x, uniform(s), 1, 10, 1)
 
 
 # -- the exact-to-float boundary against the earlier float() routes ----------------------

@@ -308,8 +308,8 @@ def test_hoeffding_refuses_a_law_too_large_to_convolve(capsys):
     assert (code, out) == (2, "")
     assert err == (
         "error: the 1000000-fold convolution visits up to 1000000999998 (sum, value) "
-        "pairs of weights of up to 2000000 bits, 2000001999996000000 pair-bits, "
-        "above the limit of 34359738368\n"
+        "pairs of weights of up to 2000000 bits, 1000000999998 * (2000000 + 1600) "
+        "= 2001602001595996800 pair-bits, above the limit of 34359738368\n"
     )
 
 
