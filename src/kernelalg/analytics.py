@@ -208,22 +208,6 @@ class KLChainRuleReport(Record):
         "comp_prod_form_holds",
     )
 
-    def __init__(
-        self,
-        joint: float,
-        marginal: float,
-        conditional: float,
-        joint_conditional: float,
-        additive_form_holds: bool,
-        comp_prod_form_holds: bool,
-    ):
-        self.joint = joint
-        self.marginal = marginal
-        self.conditional = conditional
-        self.joint_conditional = joint_conditional
-        self.additive_form_holds = additive_form_holds
-        self.comp_prod_form_holds = comp_prod_form_holds
-
 
 def kl_chain_rule(mu: Measure, nu: Measure, kappa: Kernel, eta: Kernel) -> KLChainRuleReport:
     """Evaluate both chain-rule decompositions of a joint KL divergence.
@@ -260,22 +244,6 @@ class DataProcessingReport(Record):
         "conditioning_holds",
     )
 
-    def __init__(
-        self,
-        divergence: str,
-        processed: float,
-        original: float,
-        joint: float,
-        dpi_holds: bool,
-        conditioning_holds: bool,
-    ):
-        self.divergence = divergence
-        self.processed = processed
-        self.original = original
-        self.joint = joint
-        self.dpi_holds = dpi_holds
-        self.conditioning_holds = conditioning_holds
-
 
 def data_processing(
     kind: str, kappa: Kernel, mu: Measure, nu: Measure, alpha: Fraction | None = None
@@ -294,7 +262,7 @@ def data_processing(
         if alpha is None:
             raise AlphaOutOfRange("renyi data processing needs an order alpha")
         div = lambda a, b: renyi_div(alpha, a, b)  # noqa: E731
-        label = f"renyi({alpha})"
+        label = f"renyi({_format_rational(Fraction(alpha))})"
     else:
         raise KernelAlgError(f"unknown divergence kind {kind!r}")
     processed = div(comp_measure(kappa, mu), comp_measure(kappa, nu))
@@ -323,7 +291,9 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
     """
     alpha = Fraction(alpha)
     if not 0 < alpha < 1:
-        raise AlphaOutOfRange(f"alpha must lie strictly in (0, 1), got {alpha}")
+        raise AlphaOutOfRange(
+            f"alpha must lie strictly in (0, 1), got {_format_rational(alpha)}"
+        )
     if mu.space != nu.space:
         raise SpaceMismatch(f"measures on {mu.space} and {nu.space} do not compare")
     mu.require_probability()
@@ -332,7 +302,9 @@ def renyi_div(alpha: Fraction, mu: Measure, nu: Measure) -> float:
         return 0.0
     a, b = float(alpha), float(1 - alpha)  # b exact: 1.0 - a drops digits near 1
     if a == 1.0:
-        raise AlphaOutOfRange(f"alpha {alpha} rounds to 1 in float64")
+        raise AlphaOutOfRange(
+            f"alpha {_format_rational(alpha)} rounds to 1 in float64"
+        )
     shared = [
         (Fraction(m, mu.den), Fraction(n, nu.den))
         for m, n in zip(mu.nums, nu.nums)
@@ -381,9 +353,6 @@ class PlainMeasureScope(Record):
 
     __slots__ = ("measure",)
 
-    def __init__(self, measure: Measure):
-        self.measure = measure
-
     def rows(self):
         return [self.measure.require_probability()]
 
@@ -396,10 +365,6 @@ class KernelScope(Record):
 
     __slots__ = ("kernel", "measure")
 
-    def __init__(self, kernel: Kernel, measure: Measure):
-        self.kernel = kernel
-        self.measure = measure
-
     def rows(self):
         self.kernel.require_markov()
         return [row for _, row in self.kernel.support_rows(self.measure)]
@@ -411,23 +376,9 @@ class KernelScope(Record):
 class SubgaussianCertificate(Record):
     __slots__ = ("variable", "constant", "scope", "method", "verified", "integrability")
 
-    def __init__(
-        self,
-        variable: RealRV,
-        constant: Fraction,
-        scope,
-        method: tuple,
-        verified: bool,
-        # All expectations here are finite sums, so the integrability side
-        # condition of the definition holds vacuously; recorded, not checked.
-        integrability: str = "vacuous (finite sums)",
-    ):
-        self.variable = variable
-        self.constant = constant
-        self.scope = scope
-        self.method = method
-        self.verified = verified
-        self.integrability = integrability
+    # All expectations here are finite sums, so the integrability side
+    # condition of the definition holds vacuously; recorded, not checked.
+    _defaults = {"integrability": "vacuous (finite sums)"}
 
     def as_dict(self):
         method = {"name": self.method[0]}
@@ -465,7 +416,9 @@ def certify_bounded_range(x: RealRV, scope) -> SubgaussianCertificate:
     for row in rows:
         m = x.mean(row)
         if m != 0:
-            raise NonzeroMean(f"in-scope row has exact mean {m}, expected 0")
+            raise NonzeroMean(
+                f"in-scope row has exact mean {_format_rational(m)}, expected 0"
+            )
         support.update(row.support())
     if support:
         values = [x.values[i] for i in support]
@@ -487,9 +440,10 @@ def _grid_points(grid_t: Fraction, grid_step: Fraction):
         raise KernelAlgError("grid radius and step must be positive")
     count = 2 * grid_t // grid_step + 1
     if count > MAX_GRID_POINTS:
+        radius = _format_rational(grid_t)
         raise KernelAlgError(
-            f"grid of {count} points on [-{grid_t}, {grid_t}] exceeds the limit of "
-            f"{MAX_GRID_POINTS} points; use a larger step"
+            f"grid of {_format_rational(count)} points on [-{radius}, {radius}] "
+            f"exceeds the limit of {MAX_GRID_POINTS} points; use a larger step"
         )
     return [-grid_t + i * grid_step for i in range(count)]
 
@@ -602,22 +556,6 @@ def subgaussian_add_comp_prod(
 class HoeffdingReport(Record):
     __slots__ = ("exact_tail", "bound", "holds", "n", "threshold", "certificate")
 
-    def __init__(
-        self,
-        exact_tail: Fraction,
-        bound: float,
-        holds: bool,
-        n: int,
-        threshold: Fraction,
-        certificate: SubgaussianCertificate,
-    ):
-        self.exact_tail = exact_tail
-        self.bound = bound
-        self.holds = holds
-        self.n = n
-        self.threshold = threshold
-        self.certificate = certificate
-
     def as_dict(self):
         return {
             "exactTail": _format_rational(self.exact_tail),
@@ -667,7 +605,8 @@ def hoeffding_check(
             )
     except (NonzeroMean, GridViolation) as exc:
         raise NotCertified(
-            f"variable does not certify sub-Gaussian at {sigma_sq}: {exc}"
+            "variable does not certify sub-Gaussian at "
+            f"{_format_rational(sigma_sq)}: {exc}"
         ) from exc
 
     total = dict(law)
@@ -706,8 +645,10 @@ def _check_convolution_size(law: dict, n: int, den: int):
     bits = n * den.bit_length()
     work = pairs * (bits + PAIR_OVERHEAD_BITS)
     if work > MAX_HOEFFDING_WORK:
+        pairs_text, work_text = _format_rational(pairs), _format_rational(work)
         raise KernelAlgError(
-            f"the {n}-fold convolution visits up to {pairs} (sum, value) pairs of "
-            f"weights of up to {bits} bits, {pairs} * ({bits} + {PAIR_OVERHEAD_BITS})"
-            f" = {work} pair-bits, above the limit of {MAX_HOEFFDING_WORK}"
+            f"the {n}-fold convolution visits up to {pairs_text} (sum, value) "
+            f"pairs of weights of up to {bits} bits, {pairs_text} * ({bits} + "
+            f"{PAIR_OVERHEAD_BITS}) = {work_text} pair-bits, above the limit of "
+            f"{MAX_HOEFFDING_WORK}"
         )

@@ -35,6 +35,8 @@ class BayesReport(Record):
 
     __slots__ = ("holds", "checked", "failures")
 
+    # Its own constructor, not Record's: `checked` and `failures` default to
+    # fresh lists, where one shared default list would leak between reports.
     def __init__(self, holds: bool, checked=None, failures=None):
         self.holds = holds
         self.checked = [] if checked is None else checked

@@ -19,6 +19,7 @@ from operator import mul
 from .algebra import comp_prod, marginal_fst, measure_as_kernel
 from .errors import EmptyCodomainZ, NotAProductCodomain, SpaceMismatch
 from .measures import Kernel, Measure, uniform
+from .records import Record
 from .spaces import Product, SpaceExpr
 
 __all__ = [
@@ -56,14 +57,10 @@ class DensityTable(Measure):
         return f"DensityTable({self.space}, {self.space.size} values)"
 
 
-class RNDecomposition:
+class RNDecomposition(Record):
     """Density plus singular part: kernel = density * base + singular."""
 
     __slots__ = ("density", "singular")
-
-    def __init__(self, density: DensityTable, singular: Kernel):
-        self.density = density
-        self.singular = singular
 
 
 def _split_product_codomain(kappa: Kernel):

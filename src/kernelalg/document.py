@@ -46,19 +46,18 @@ from .variables import PartitionSigma, RandomVariable, RealRV
 
 __all__ = ["Document", "parse_document", "serialize_document", "Tokenizer", "Token"]
 
-_KEYWORDS = {"space", "measure", "kernel", "rv", "realrv", "partition", "chain"}
-
+# One line at a time: whitespace and comments are the unnamed alternatives.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
+    [ \t\r]+
+  | \#.*
   | (?P<arrow>->)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>[0-9]+)
   | (?P<punct>[{}():,=/\-])
   | (?P<bad>.)
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 MAX_NESTING = 100
@@ -93,33 +92,29 @@ class Tokenizer:
 
     def __init__(self, text: str):
         tokens = []
-        line, line_start, depth = 1, 0, 0
-        for m in _TOKEN_RE.finditer(text):
-            kind = m.lastgroup
-            chunk = m.group()
-            if kind == "ws":
-                newlines = chunk.count("\n")
-                if newlines:
-                    line += newlines
-                    line_start = m.start() + chunk.rfind("\n") + 1
-                continue
-            if kind == "comment":
-                continue
-            col = m.start() - line_start + 1
-            if kind == "bad":
-                raise KdSyntaxError(f"unexpected character {chunk!r}", line, col)
-            if kind == "punct":
-                kind = chunk
-                if chunk == "(":
-                    depth += 1
-                    if depth > MAX_NESTING:
-                        raise KdSyntaxError(
-                            f"parentheses nested deeper than {MAX_NESTING}", line, col
-                        )
-                elif chunk == ")":
-                    depth -= 1
-            tokens.append(Token(kind, chunk, line, col))
-        tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+        depth = 0
+        lines = text.split("\n")
+        for line, source in enumerate(lines, 1):
+            for m in _TOKEN_RE.finditer(source):
+                kind = m.lastgroup
+                if kind is None:
+                    continue
+                chunk = m.group()
+                col = m.start() + 1
+                if kind == "bad":
+                    raise KdSyntaxError(f"unexpected character {chunk!r}", line, col)
+                if kind == "punct":
+                    kind = chunk
+                    if chunk == "(":
+                        depth += 1
+                        if depth > MAX_NESTING:
+                            raise KdSyntaxError(
+                                f"parentheses nested deeper than {MAX_NESTING}", line, col
+                            )
+                    elif chunk == ")":
+                        depth -= 1
+                tokens.append(Token(kind, chunk, line, col))
+        tokens.append(Token("eof", "", len(lines), len(lines[-1]) + 1))
         self.tokens = tokens
         self.pos = 0
 
@@ -146,32 +141,19 @@ class Tokenizer:
 class Document:
     """Named declarations in order, with per-sort registries."""
 
+    # The declaration sorts, which are also the document's keywords.
     SORTS = ("space", "measure", "kernel", "rv", "realrv", "partition", "chain")
 
     def __init__(self):
         self.order = []  # (sort, name) in declaration order
-        self.spaces: dict[str, SpaceExpr] = {}
-        self.measures: dict[str, Measure] = {}
-        self.kernels: dict[str, Kernel] = {}
-        self.rvs: dict[str, RandomVariable] = {}
-        self.realrvs: dict[str, RealRV] = {}
-        self.partitions: dict[str, PartitionSigma] = {}
-        self.chains: dict = {}  # name -> sequential.KernelChain
+        # name -> object, one dict per sort; a chain is a sequential.KernelChain
+        self.registries = {sort: {} for sort in self.SORTS}
+        (self.spaces, self.measures, self.kernels, self.rvs, self.realrvs,
+         self.partitions, self.chains) = self.registries.values()
         self.chain_specs: dict[str, tuple] = {}
 
-    def registry(self, sort: str) -> dict:
-        return {
-            "space": self.spaces,
-            "measure": self.measures,
-            "kernel": self.kernels,
-            "rv": self.rvs,
-            "realrv": self.realrvs,
-            "partition": self.partitions,
-            "chain": self.chains,
-        }[sort]
-
     def declare(self, sort, name, obj, tok=None):
-        reg = self.registry(sort)
+        reg = self.registries[sort]
         if name in reg:
             raise DuplicateName(
                 f"{sort} {name!r} already declared",
@@ -182,7 +164,7 @@ class Document:
         self.order.append((sort, name))
 
     def lookup(self, sort, name, tok=None):
-        reg = self.registry(sort)
+        reg = self.registries[sort]
         if name not in reg:
             raise UnknownName(
                 f"no {sort} named {name!r}",
@@ -194,12 +176,7 @@ class Document:
     def __eq__(self, other):
         if not isinstance(other, Document):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        for sort in self.SORTS:
-            if self.registry(sort) != other.registry(sort):
-                return False
-        return True
+        return self.order == other.order and self.registries == other.registries
 
 
 # -- parsing ----------------------------------------------------------------------
@@ -210,7 +187,7 @@ def parse_document(text: str) -> Document:
     doc = Document()
     while not tz.at("eof"):
         kw = tz.next()
-        if kw.kind != "ident" or kw.text not in _KEYWORDS:
+        if kw.kind != "ident" or kw.text not in Document.SORTS:
             raise _expected("a declaration keyword", kw)
         name = _parse_name(tz)
         doc.declare(kw.text, name.text, _PARSERS[kw.text](tz, doc, name.text), name)
@@ -219,7 +196,7 @@ def parse_document(text: str) -> Document:
 
 def _parse_name(tz: Tokenizer) -> Token:
     tok = tz.peek()
-    if tok.kind != "ident" or tok.text in _KEYWORDS or tok.text == "unit":
+    if tok.kind != "ident" or tok.text in Document.SORTS or tok.text == "unit":
         raise _expected("a name", tok)
     return tz.next()
 
@@ -508,7 +485,7 @@ def _weights_body(labels, texts) -> str:
 def serialize_document(doc: Document) -> str:
     chunks = []
     for sort, name in doc.order:
-        obj = doc.registry(sort)[name]
+        obj = doc.registries[sort][name]
         if sort == "space":
             labels = " ".join(obj.space.labels)
             chunks.append(f"space {name} {{ {labels} }}" if labels else f"space {name} {{ }}")

@@ -73,15 +73,19 @@ class NonzeroMean(KernelAlgError):
 class GridViolation(KernelAlgError):
     """The MGF inequality failed at a grid point.
 
-    The failing point is kept on the exception as a Fraction.
+    The failing point is kept on the exception as a Fraction, and printed
+    with every digit.
     """
 
     def __init__(self, t, mgf_value, bound):
+        from .scalar import _format_rational  # scalar imports this module
+
         self.t = t
         self.mgf_value = mgf_value
         self.bound = bound
         super().__init__(
-            f"mgf bound violated at t = {t}: mgf = {mgf_value!r} > bound = {bound!r}"
+            f"mgf bound violated at t = {_format_rational(t)}: "
+            f"mgf = {mgf_value!r} > bound = {bound!r}"
         )
 
 

@@ -59,38 +59,18 @@ sequential = _Module("sequential")
 class Call(Record):
     __slots__ = ("op", "args", "line", "col")
 
-    def __init__(self, op: str, args: list, line: int, col: int):
-        self.op = op
-        self.args = args
-        self.line = line
-        self.col = col
-
 
 class Name(Record):
     __slots__ = ("text", "line", "col")
 
-    def __init__(self, text: str, line: int, col: int):
-        self.text = text
-        self.line = line
-        self.col = col
-
 
 class SpaceArg(Record):
+    # space is a SpaceExpr, a Name, or a (left, right) pair of these
     __slots__ = ("space", "line", "col")
-
-    def __init__(self, space, line: int, col: int):
-        self.space = space  # a SpaceExpr, a Name, or a (left, right) pair of these
-        self.line = line
-        self.col = col
 
 
 class RatArg(Record):
     __slots__ = ("value", "line", "col")
-
-    def __init__(self, value: Fraction, line: int, col: int):
-        self.value = value
-        self.line = line
-        self.col = col
 
 
 # -- types ------------------------------------------------------------------------
@@ -99,10 +79,6 @@ class RatArg(Record):
 class TKernel(Record):
     __slots__ = ("dom", "cod")
 
-    def __init__(self, dom: SpaceExpr, cod: SpaceExpr):
-        self.dom = dom
-        self.cod = cod
-
     def __str__(self):
         return f"kernel {self.dom} -> {self.cod}"
 
@@ -110,18 +86,12 @@ class TKernel(Record):
 class TMeasure(Record):
     __slots__ = ("space",)
 
-    def __init__(self, space: SpaceExpr):
-        self.space = space
-
     def __str__(self):
         return f"measure on {self.space}"
 
 
 class TDensity(Record):
     __slots__ = ("space",)
-
-    def __init__(self, space: SpaceExpr):
-        self.space = space
 
     def __str__(self):
         return f"density on {self.space}"
@@ -468,11 +438,6 @@ class Operator(Record):
     """
 
     __slots__ = ("kinds", "rule", "evaluate")
-
-    def __init__(self, kinds: tuple, rule, evaluate):
-        self.kinds = kinds
-        self.rule = rule
-        self.evaluate = evaluate
 
 
 OPERATORS = {

@@ -35,12 +35,7 @@ SUITES = ("algebra", "disintegration", "bayes", "all")
 
 class LawResult(Record):
     __slots__ = ("law", "subject", "ok", "detail")
-
-    def __init__(self, law: str, subject: str, ok: bool, detail: str = ""):
-        self.law = law
-        self.subject = subject
-        self.ok = ok
-        self.detail = detail
+    _defaults = {"detail": ""}
 
     def line(self) -> str:
         status = "PASS" if self.ok else "FAIL"

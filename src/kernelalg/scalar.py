@@ -65,7 +65,7 @@ class Scalar(Fraction):
 
 
 def _format_rational(q) -> str:
-    """`p/q`, or `p` when q is 1, of a Fraction or Scalar, with every digit."""
+    """`p/q`, or `p` when q is 1, of an int, Fraction or Scalar, with every digit."""
     return _format_ratio(q.numerator, q.denominator)
 
 

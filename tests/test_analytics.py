@@ -1042,3 +1042,45 @@ def _check_certificates(v, mu, n, threshold):
     if hoeffding is not None:
         _close_exp(hoeffding.bound, -_dec(threshold**2 / (2 * n * sigma_sq)))
         assert hoeffding.holds == (hoeffding.exact_tail <= Fraction(hoeffding.bound))
+
+
+def test_messages_print_every_digit_of_a_rational():
+    big = (10**2999 + 7) * (10**2999 + 9)
+    assert len(str(Decimal(big))) > 4300
+
+    def digits(q: Fraction) -> str:
+        return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+    mu, nu = ber(Fraction(1, 2)), ber(Fraction(1, 4))
+    over = 1 + Fraction(1, big)
+    with pytest.raises(AlphaOutOfRange) as info:
+        renyi_div(over, mu, nu)
+    assert str(info.value) == f"alpha must lie strictly in (0, 1), got {digits(over)}"
+    near = 1 - Fraction(1, big)
+    with pytest.raises(AlphaOutOfRange) as info:
+        renyi_div(near, mu, nu)
+    assert str(info.value) == f"alpha {digits(near)} rounds to 1 in float64"
+    order = Fraction(1, 2) + Fraction(1, big)
+    kappa = Kernel(mu.space, mu.space, [mu, nu])
+    report = data_processing("renyi", kappa, mu, nu, alpha=order)
+    assert report.divergence == f"renyi({digits(order)})"
+    assert data_processing("renyi", kappa, mu, nu, Fraction(1, 3)).divergence == (
+        "renyi(1/3)"
+    )
+    # sigma^2 below the range constant 1 of a fair sign flip, where cosh(t)
+    # exceeds exp(sigma^2 t^2 / 2) near t = 0
+    sign, fair = rademacher()
+    sigma_sq = Fraction(9, 10) + Fraction(1, big)
+    with pytest.raises(NotCertified) as info:
+        hoeffding_check(sign, fair, sigma_sq, 2, 1)
+    assert str(info.value).startswith(
+        f"variable does not certify sub-Gaussian at {digits(sigma_sq)}: "
+        "mgf bound violated at t = "
+    )
+    radius = 10 + Fraction(1, big)
+    with pytest.raises(KernelAlgError) as info:
+        certify_grid(sign, PlainMeasureScope(fair), 1, radius, Fraction(1, 10**6))
+    assert str(info.value) == (
+        f"grid of 20000001 points on [-{digits(radius)}, {digits(radius)}] "
+        f"exceeds the limit of {MAX_GRID_POINTS} points; use a larger step"
+    )

@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -300,7 +301,7 @@ def test_certify_kernel_scope(capsys, tmp_path):
     assert "exact mean 1" in err
 
 
-def test_hoeffding_refuses_a_law_too_large_to_convolve(capsys):
+def test_hoeffding_refuses_a_law_too_large_to_convolve(capsys, tmp_path):
     code, out, err = run(
         capsys, "hoeffding", str(DOCS / "rademacher.kd"), "--rv", "X", "--measure", "mu",
         "-n", "1000000", "-t", "1",
@@ -310,6 +311,25 @@ def test_hoeffding_refuses_a_law_too_large_to_convolve(capsys):
         "error: the 1000000-fold convolution visits up to 1000000999998 (sum, value) "
         "pairs of weights of up to 2000000 bits, 1000000999998 * (2000000 + 1600) "
         "= 2001602001595996800 pair-bits, above the limit of 34359738368\n"
+    )
+    # a span of 10^4299 lattice steps: the counts have more than 4300 digits
+    span = 10**4299
+    wide = tmp_path / "wide.kd"
+    wide.write_text(
+        "space S { a b c }\n"
+        "measure mu on S = { a: 1/3, b: 1/3, c: 1/3 }\n"
+        f"realrv X on S = {{ a: 0, b: 1, c: {span} }}\n"
+    )
+    code, out, err = run(
+        capsys, "hoeffding", str(wide), "--rv", "X", "--measure", "mu",
+        "-n", "3", "-t", "1", "--sigma2", "1",
+    )
+    pairs = 3 * (3 * span + 2)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: the 3-fold convolution visits up to {Decimal(pairs)} (sum, value) "
+        f"pairs of weights of up to 6 bits, {Decimal(pairs)} * (6 + 1600) "
+        f"= {Decimal(pairs * 1606)} pair-bits, above the limit of 34359738368\n"
     )
 
 
@@ -587,3 +607,45 @@ def test_compose_above_the_limit_refused_exit_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert "compose result of 5000 x 5000 = 25000000 entries, above the limit of " \
         "16777216" in err
+
+
+def _digits(q: Fraction) -> str:
+    """`p/q` of a Fraction with every digit, past the int-to-str limit too."""
+    return f"{Decimal(q.numerator)}/{Decimal(q.denominator)}"
+
+
+def test_nonzero_mean_past_the_digit_limit_is_printed_in_full(capsys, tmp_path):
+    p, q = 10**2999 + 7, 10**2999 + 9
+    doc = tmp_path / "mean.kd"
+    doc.write_text(
+        "space S { a b }\n"
+        f"measure mu on S = {{ a: 1/{p}, b: {p - 1}/{p} }}\n"
+        f"realrv X on S = {{ a: 1/{q}, b: 0 }}\n"
+    )
+    mean = _digits(Fraction(1, p * q))
+    assert len(mean) > 2 + 4300
+    expected = f"not certified: in-scope row has exact mean {mean}, expected 0\n"
+    for argv in (
+        ["certify", str(doc), "--rv", "X", "--measure", "mu", "--method", "bounded"],
+        ["hoeffding", str(doc), "--rv", "X", "--measure", "mu", "-n", "2", "-t", "1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", expected)
+
+
+def test_grid_violation_past_the_digit_limit_is_printed_in_full(capsys):
+    radius = 10 + Fraction(1, 10**2500 + 3)
+    step = Fraction(1, 100) + Fraction(1, 10**2500 + 7)
+    # Rademacher's mgf cosh(t) first exceeds exp(9/10 t^2 / 2) at grid point
+    # 916, t about -0.84; its denominator has about 5000 digits
+    t = -radius + 916 * step
+    assert len(str(Decimal(t.denominator))) > 4300
+    code, out, err = run(
+        capsys,
+        "certify", str(DOCS / "rademacher.kd"),
+        "--rv", "X", "--measure", "mu", "--method", "grid", "--c", "9/10",
+        "--grid-T", _digits(radius), "--grid-step", _digits(step),
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith(f"violation: mgf bound violated at t = {_digits(t)}: mgf = ")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -282,6 +282,9 @@ def test_rn_decomposition_pairs_density_and_singular_part():
         assert isinstance(decomposition, RNDecomposition)
         assert decomposition.density == rn_deriv(kappa, eta)
         assert decomposition.singular == singular_part(kappa, eta)
+        # a record: equal fields make equal decompositions, with equal hashes
+        again = rn_decomposition(kappa, eta)
+        assert decomposition == again and hash(decomposition) == hash(again)
         rebuilt = alg.add_kernels(
             with_density(eta, decomposition.density), decomposition.singular
         )
