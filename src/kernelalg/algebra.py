@@ -84,12 +84,9 @@ def _check_dense(op: str, dom_size: int, cod_size: int):
 
 
 def deterministic(f: RandomVariable) -> Kernel:
-    """The kernel sending each atom to the Dirac measure at its image.
-
-    Held as f's index map (see Kernel), so composing with it gathers or
-    scatters rows instead of multiplying by Dirac rows.
-    """
-    return Kernel._from_map(f.domain, f.codomain, f.index_map)
+    """The kernel sending each atom to the Dirac measure at its image: f itself,
+    since a RandomVariable is the map Kernel of its index map (see Kernel)."""
+    return f
 
 
 def identity_kernel(space: SpaceExpr) -> Kernel:
@@ -150,21 +147,13 @@ def snd_proj(left: SpaceExpr, right: SpaceExpr) -> RandomVariable:
 
 
 def prod_mk_right(kernel: Kernel, extra: SpaceExpr) -> Kernel:
-    """Lift dom -> cod to (dom x extra) -> cod, ignoring the second coordinate."""
-    dom = Product(kernel.domain, extra)
-    if kernel.index_map is not None:
-        index_map = tuple(j for j in kernel.index_map for _ in range(extra.size))
-        return Kernel._from_map(dom, kernel.codomain, index_map)
-    rows = tuple(row for row in kernel.rows for _ in range(extra.size))
-    return Kernel._unchecked(dom, kernel.codomain, rows)
+    """Lift dom -> cod to (dom x extra) -> cod: kernel . fst_proj(dom, extra)."""
+    return compose(kernel, fst_proj(kernel.domain, extra))
 
 
 def prod_mk_left(extra: SpaceExpr, kernel: Kernel) -> Kernel:
-    """Lift dom -> cod to (extra x dom) -> cod, ignoring the first coordinate."""
-    dom = Product(extra, kernel.domain)
-    if kernel.index_map is not None:
-        return Kernel._from_map(dom, kernel.codomain, kernel.index_map * extra.size)
-    return Kernel._unchecked(dom, kernel.codomain, kernel.rows * extra.size)
+    """Lift dom -> cod to (extra x dom) -> cod: kernel . snd_proj(extra, dom)."""
+    return compose(kernel, snd_proj(extra, kernel.domain))
 
 
 def rebracket_kernel(src: SpaceExpr, dst: SpaceExpr) -> Kernel:
@@ -359,14 +348,14 @@ def marginal_fst(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    return compose(deterministic(fst_proj(cod.left, cod.right)), kappa)
+    return compose(fst_proj(cod.left, cod.right), kappa)
 
 
 def marginal_snd(kappa: Kernel) -> Kernel:
     if not isinstance(kappa.codomain, Product):
         raise NotAProductCodomain(f"codomain {kappa.codomain} is not a product")
     cod = kappa.codomain
-    return compose(deterministic(snd_proj(cod.left, cod.right)), kappa)
+    return compose(snd_proj(cod.left, cod.right), kappa)
 
 
 def marginals(kappa: Kernel):
@@ -398,8 +387,8 @@ def comp_prod_measure(mu: Measure, kappa: Kernel) -> Measure:
 
 
 def pushforward(mu: Measure, f: RandomVariable) -> Measure:
-    """Image measure of mu under a map, via the deterministic kernel."""
-    return comp_measure(deterministic(f), mu)
+    """Image measure of mu under a map, the map being its deterministic kernel."""
+    return comp_measure(f, mu)
 
 
 def add_kernels(a: Kernel, b: Kernel) -> Kernel:

@@ -21,7 +21,7 @@ from .errors import (
     NotMarkov,
     SpaceMismatch,
 )
-from .scalar import ONE, ZERO, Scalar, _checked, _format_ratio, _ratio, _views
+from .scalar import ONE, ZERO, Scalar, _checked, _format_ratio, _format_rational, _ratio, _views
 from .spaces import SpaceExpr, format_atom
 
 __all__ = ["Measure", "Kernel", "dirac", "uniform", "zero_measure"]
@@ -113,7 +113,8 @@ class Measure:
     def require_probability(self) -> "Measure":
         if not self.is_probability():
             raise NotAProbabilityMeasure(
-                f"measure on {self.space} has total {self.total()}, expected 1"
+                f"measure on {self.space} has total "
+                f"{_format_rational(self.total())}, expected 1"
             )
         return self
 
@@ -170,7 +171,8 @@ class Measure:
         return hash((self.space, self.nums, self.den))
 
     def __repr__(self):
-        inner = ", ".join(f"{format_atom(a)}: {w}" for a, w in self.items())
+        texts = zip(self.space.atoms, self._texts())
+        inner = ", ".join(f"{format_atom(a)}: {t}" for a, t in texts)
         return f"Measure({self.space}, {{{inner}}})"
 
 
@@ -204,11 +206,11 @@ def zero_measure(space: SpaceExpr) -> Measure:
 class Kernel:
     """A transition kernel: one Measure on the codomain per domain atom.
 
-    A deterministic kernel is held as an index map instead: one codomain atom
-    index per domain atom.  Its Dirac rows are built on the first read of
-    `rows` and cached there, an idempotent write like `Measure.weights`.
-    Operations that special-case the map (compose, comp_measure) never build
-    them.
+    A deterministic kernel, such as a RandomVariable, is held as an index map
+    instead: one codomain atom index per domain atom.  Its Dirac rows are built
+    on the first read of `rows` and cached there, an idempotent write like
+    `Measure.weights`.  compose, and so every operation built on it, applies
+    the map without building them.
     """
 
     __slots__ = ("domain", "codomain", "index_map", "_rows")

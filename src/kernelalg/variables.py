@@ -1,4 +1,5 @@
-"""Random variables, real-valued observables and partition sigma-algebras."""
+"""Random variables, each the deterministic Kernel of its map; real-valued
+observables; partition sigma-algebras."""
 
 from __future__ import annotations
 
@@ -6,16 +7,17 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import SpaceMismatch
+from .measures import Kernel
 from .spaces import Product, SpaceExpr, format_atom
 
 __all__ = ["RandomVariable", "RealRV", "PartitionSigma", "pair_rv"]
 
 
-class RandomVariable:
-    """A total map from domain atoms to codomain atoms, held as the index map
-    of a deterministic Kernel: one codomain atom index per domain atom."""
+class RandomVariable(Kernel):
+    """A total map from domain atoms to codomain atoms, as the map Kernel of
+    its index map: the Kernel's rows, equality, hash and `_from_map`."""
 
-    __slots__ = ("domain", "codomain", "index_map")
+    __slots__ = ()
 
     def __init__(self, domain: SpaceExpr, codomain: SpaceExpr, table):
         table = dict(table)
@@ -40,14 +42,7 @@ class RandomVariable:
         self.domain = domain
         self.codomain = codomain
         self.index_map = tuple(index_map)
-
-    @classmethod
-    def _from_map(cls, domain, codomain, index_map) -> "RandomVariable":
-        f = object.__new__(cls)
-        f.domain = domain
-        f.codomain = codomain
-        f.index_map = index_map
-        return f
+        self._rows = None
 
     @classmethod
     def from_function(cls, domain, codomain, fn) -> "RandomVariable":
@@ -68,17 +63,8 @@ class RandomVariable:
 
     def preimage(self, atoms) -> list:
         """Domain atoms mapped into the given set of codomain atoms."""
-        wanted = set(map(self.codomain._find, atoms))
+        wanted = set(map(self.codomain.index_of, atoms))
         return [a for a, j in zip(self.domain.atoms, self.index_map) if j in wanted]
-
-    def __eq__(self, other):
-        if not isinstance(other, RandomVariable):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.index_map == other.index_map
-        )
 
     def __repr__(self):
         return f"RandomVariable({self.domain} -> {self.codomain})"

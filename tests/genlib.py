@@ -817,6 +817,33 @@ def table_cond_entropy_direct(x, y, mu) -> float:
     return direct
 
 
+# -- the lifts and deterministic(f) as their own constructions -------------------------
+#
+# prod_mk_right and prod_mk_left compose with a projection, and deterministic(f)
+# is f; these are the earlier routes: a map branch and a dense branch per lift,
+# and a plain Kernel copy of f's index map.
+
+
+def reference_prod_mk_right(kernel, extra) -> Kernel:
+    dom = Product(kernel.domain, extra)
+    if kernel.index_map is not None:
+        index_map = tuple(j for j in kernel.index_map for _ in range(extra.size))
+        return Kernel._from_map(dom, kernel.codomain, index_map)
+    rows = tuple(row for row in kernel.rows for _ in range(extra.size))
+    return Kernel._unchecked(dom, kernel.codomain, rows)
+
+
+def reference_prod_mk_left(extra, kernel) -> Kernel:
+    dom = Product(extra, kernel.domain)
+    if kernel.index_map is not None:
+        return Kernel._from_map(dom, kernel.codomain, kernel.index_map * extra.size)
+    return Kernel._unchecked(dom, kernel.codomain, kernel.rows * extra.size)
+
+
+def reference_deterministic(f) -> Kernel:
+    return Kernel._from_map(f.domain, f.codomain, f.index_map)
+
+
 # -- the match-loop tokenizer ---------------------------------------------------------
 #
 # The library tokenizes in one finditer pass; this is the earlier loop that

@@ -19,7 +19,7 @@ from kernelalg.laws import algebra_laws, run_laws
 from kernelalg.measures import Kernel, Measure, dirac, uniform
 from kernelalg.scalar import ONE, ZERO, Scalar
 from kernelalg.spaces import UNIT, UNIT_ATOM, Base, FiniteSpace, Product
-from kernelalg.variables import RandomVariable
+from kernelalg.variables import RandomVariable, pair_rv
 
 
 def comp_prod_triple(rng, max_atoms=4):
@@ -412,6 +412,51 @@ def test_lifts_of_a_map_stay_maps_equal_to_their_dense_twins():
             assert lifted == twin and twin == lifted
             assert hash(lifted) == hash(twin)
             assert lifted.rows == twin.rows
+
+
+def test_lifts_match_their_two_branch_references():
+    """Each lift is one compose with a projection: a map input keeps its index
+    map, and a dense input's rows are the reference's row objects."""
+    rng = random.Random(46)
+    extras = [lambda: fresh_space(rng, 0, 0), lambda: UNIT] + [
+        lambda n=n: fresh_space(rng, n, n) for n in range(1, 5)
+    ]
+    for case in range(200):
+        dom = fresh_space(rng, 0, 0) if case % 7 == 0 else fresh_space(rng, 4)
+        cod, extra = fresh_space(rng, 4), extras[case // 2 % len(extras)]()
+        if case % 2:
+            kernel = genlib.random_rv(rng, dom, cod)
+        else:
+            kernel = genlib.random_finite_kernel(rng, dom, cod, zero_frac=0.3)
+        for got, want in (
+            (alg.prod_mk_right(kernel, extra), genlib.reference_prod_mk_right(kernel, extra)),
+            (alg.prod_mk_left(extra, kernel), genlib.reference_prod_mk_left(extra, kernel)),
+        ):
+            assert got == want and want == got
+            assert got.index_map == want.index_map
+            if kernel.index_map is not None:
+                assert got.index_map is not None
+            else:
+                assert len(got.rows) == len(want.rows)
+                assert all(a is b for a, b in zip(got.rows, want.rows))
+
+
+def test_a_random_variable_is_its_deterministic_kernel():
+    rng = random.Random(47)
+    for _ in range(40):
+        x, y, z = fresh_space(rng), fresh_space(rng), fresh_space(rng)
+        f, g = genlib.random_rv(rng, x, y), genlib.random_rv(rng, y, z)
+        reference = genlib.reference_deterministic(f)
+        assert isinstance(f, Kernel) and type(reference) is Kernel
+        assert alg.deterministic(f) is f
+        assert f == reference and reference == f and hash(f) == hash(reference)
+        assert f.rows == reference.rows and f.is_markov()
+        assert all(f.row(a) == dirac(y, f(a)) for a in x.atoms)
+        mu = genlib.random_measure(rng, x, zero_frac=0.3)
+        assert alg.pushforward(mu, f) == alg.comp_measure(reference, mu)
+        assert type(pair_rv(f, genlib.random_rv(rng, x, z))) is RandomVariable
+        both = alg.compose(g, f)
+        assert type(both) is Kernel and both.index_map is not None
 
 
 # -- structural maps by index arithmetic against their atom tables ------------

@@ -392,6 +392,15 @@ def test_shape_mismatches():
         kernel_indep_fun(x, y, alg.const_kernel(UNIT, uniform(other)), dirac(UNIT, "()"))
 
 
+def test_preimage_refuses_an_atom_outside_the_codomain():
+    om, x, y = four_point()
+    assert x.preimage(["odd"]) == ["1", "3"] and y.preimage([]) == []
+    with pytest.raises(SpaceMismatch, match=r"^atom zzz does not belong to space Par$"):
+        x.preimage(["zzz"])
+    with pytest.raises(SpaceMismatch):
+        y.preimage(["0", "odd"])
+
+
 # -- index maps against the atom-table routes ---------------------------------------
 
 

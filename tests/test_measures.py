@@ -112,6 +112,22 @@ def test_a_weight_of_5000_digits_prints_every_digit():
     assert len(str(mu.weight("good")).split("/")[0]) == 5000
 
 
+def test_message_and_repr_print_weights_without_scalar_views(monkeypatch):
+    w = weather_space()
+    den = 3 * 10**4999 + 1
+    mu = Measure(w, [Fraction(1, den), Fraction(1, den)])
+
+    def refuse(*args):
+        raise AssertionError("a weight printed through a Scalar view")
+
+    monkeypatch.setattr(Scalar, "__str__", refuse)
+    monkeypatch.setattr(Scalar, "__format__", refuse)
+    with pytest.raises(NotAProbabilityMeasure) as err:
+        mu.require_probability()
+    assert str(err.value) == f"measure on W has total 2/{Decimal(den)}, expected 1"
+    assert repr(mu) == f"Measure(W, {{good: 1/{Decimal(den)}, bad: 1/{Decimal(den)}}})"
+
+
 def test_total_additivity_over_disjoint_split():
     rng = random.Random(7)
     s = Base(FiniteSpace("S", [f"a{i}" for i in range(6)]))
