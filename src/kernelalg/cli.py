@@ -19,7 +19,6 @@ import argparse
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
 
 from .document import _labels, _weights_body, parse_document
 from .errors import (
@@ -37,9 +36,6 @@ from .spaces import format_atom
 # reads their functions there, so a call loads only what it uses.
 
 _LN2 = math.log(2)
-
-# Trajectories that `simulate` writes per call of stdout.write.
-_WRITE_BLOCK = 4096
 
 
 def _load(path: str):
@@ -99,34 +95,39 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from .sequential import sample
+    from .sequential import _columns
 
     doc = _load(args.file)
     chain = doc.lookup("chain", args.chain)
     initial = doc.lookup("measure", args.initial) if args.initial else None
-    trajectories = sample(chain, args.n, args.seed, args.count, initial=initial)
-    # Each codomain label is formatted once; each block of lines is one write.
-    labels = {
-        a: format_atom(a) for step in chain.steps[: args.n] for a in step.codomain.atoms
-    }
-    write = sys.stdout.write
-    blocks = (
-        trajectories[i : i + _WRITE_BLOCK]
-        for i in range(0, len(trajectories), _WRITE_BLOCK)
-    )
+    blocks = _columns(chain, args.n, args.seed, args.count, initial=initial)
+    n, steps = args.n, chain.steps[: args.n]
     if args.json:
         from .jsonio import dumps
 
-        quoted = {a: dumps(label) for a, label in labels.items()}
-        write("[")
-        for i, block in enumerate(blocks):
-            rows = map(",".join, map(map, repeat(quoted.__getitem__), block))
-            write(("," if i else "") + ",".join(map("[{}]".format, rows)))
-        write("]\n")
+        # a row reads ,["a","b",...,"z"]; the array's first row drops its comma
+        quote, opens, closes = dumps, [",["] + [","] * (n - 1), [""] * (n - 1) + ["]"]
     else:
-        for block in blocks:
-            lines = map("→".join, map(map, repeat(labels.__getitem__), block))
-            write("\n".join(lines) + "\n")
+        quote, opens, closes = str, [""] * n, ["→"] * (n - 1) + ["\n"]
+    labels = {id(s): [quote(format_atom(a)) for a in s.codomain.atoms] for s in steps}
+    # texts[i][j] is atom j of step i+1's codomain, its separators attached
+    texts = [
+        [o + label + c for label in labels[id(s)]] for s, o, c in zip(steps, opens, closes)
+    ]
+    write = sys.stdout.write
+    if args.json:
+        write("[")
+    lead = args.json  # the first row of a JSON array drops its comma
+    for columns in blocks:
+        flat = [None] * (len(columns[0]) * n)
+        for i, (text, js) in enumerate(zip(texts, columns)):
+            flat[i::n] = map(text.__getitem__, js)
+        if lead:
+            flat[0] = flat[0][1:]
+            lead = False
+        write("".join(flat))
+    if args.json:
+        write("]\n")
     return 0
 
 

@@ -19,6 +19,11 @@ two runs with one seed agree bit for bit on every platform.  splitmix64 is
 counter-based (word i is a fixed function of seed + i * gamma), so the sampler
 computes its words a block at a time with whole-integer arithmetic over
 packed lanes, and draws each step of a block of trajectories as one column.
+A column is drawn through guide tables (Chen and Asau 1974; Devroye 1986,
+III.2): each row's table maps a word's top byte to the atom that every word
+of that bucket draws, and a word whose bucket holds a threshold is compared
+with the thresholds in full, so the draw is the same atom.  The CLI writes
+each block of trajectories as it is drawn.
 
 A chain of more than MAX_CHAIN_STEPS steps is refused when it is declared.
 The horizon-n trajectory kernel has |history_n| entries, so traj_kernel
@@ -29,9 +34,10 @@ anything; sample reads a markov_chain's step itself and needs no such limit.
 from __future__ import annotations
 
 import sys
+from array import array
 from bisect import bisect_right
-from itertools import accumulate, repeat
-from operator import add, mul
+from itertools import accumulate, compress, repeat
+from operator import add, eq, getitem, mul
 
 from .algebra import comp_measure, comp_prod, marginal_fst
 from .errors import HorizonOutOfRange, KernelAlgError, SpaceMismatch
@@ -63,6 +69,7 @@ MAX_HISTORY_ATOMS = 1 << 20
 MAX_CHAIN_STEPS = 64
 
 _MASK = (1 << 64) - 1
+_BUCKET = (1 << 56) - 1  # a word's bits below its top byte
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
@@ -95,15 +102,21 @@ def _low_words(z: int, byteorder: str):
     return words[::2] if byteorder == "little" else words[::-2]
 
 
-def _block(state: int):
-    """The _CHUNK words that follow `state`.  Lane i holds state + (i+1) * gamma
-    and goes through the finalizer in place: every value is masked to its
-    lane's low 64 bits before a multiply, so no carry crosses a lane."""
+def _mix(state: int) -> int:
+    """The _CHUNK words that follow `state`, packed: lane i (bits 128i up)
+    holds state + (i+1) * gamma put through the finalizer in place, the word in
+    its low 64 bits.  Every value is masked to its lane's low 64 bits before a
+    multiply, so no carry crosses a lane."""
     ones, ramp, low = _lanes or _lane_constants()
     z = (state * ones + ramp) & low
     z = ((z ^ (z >> 30)) & low) * _MIX1 & low
     z = ((z ^ (z >> 27)) & low) * _MIX2 & low
-    return _low_words(z ^ (z >> 31), sys.byteorder)
+    return z ^ (z >> 31)
+
+
+def _block(state: int):
+    """The _CHUNK words that follow `state`, in order."""
+    return _low_words(_mix(state), sys.byteorder)
 
 
 class SplitMix64:
@@ -296,18 +309,46 @@ def flatten_trajectory(n: int, atom) -> tuple:
     return tuple(reversed(parts))
 
 
-def sample(
-    chain: KernelChain,
-    n: int,
-    seed: int,
-    count: int,
-    initial: Measure | None = None,
-):
-    """Draw `count` horizon-n trajectories, reproducibly for a given seed.
+def _guide(thresholds: list) -> list:
+    """The guide table of a row's thresholds, on a word's top byte: entry t is
+    the atom that every word of the bucket [t * 2**56, (t+1) * 2**56) draws, or
+    -1 when a threshold falls strictly inside the bucket.  Atom j owns the
+    buckets that lie inside [thresholds[j-1], thresholds[j]); a zero-weight
+    atom owns none."""
+    guide = [-1] * 256
+    low = 0
+    for j, high in enumerate(thresholds):
+        first, end = -(-low >> 56), high >> 56
+        guide[first:end] = [j] * (end - first)
+        low = high
+    return guide
 
-    Returns a list of n-tuples of atoms.  The empirical distribution converges
-    to trajectory_law(chain, n); determinism is bit-exact per seed.
-    """
+
+def _draw(buf: bytes, words, i: int, width: int, b: int, thresholds: list, guides, rows):
+    """Column i of a block: the atom each of its b trajectories draws from the
+    row it reads, rows[t].  The guide entry of the word's top byte decides a
+    lane, and a -1 lane is decided by its whole word against the row's
+    thresholds.  With no guides (None), every lane is."""
+    # word t * width + i of the block is words[2 * (t * width + i)], and its
+    # top byte is buf[16 * (t * width + i) + 7]
+    if guides is None:
+        column = words[2 * i :: 2 * width][:b]
+        return list(map(bisect_right, map(thresholds.__getitem__, rows), column))
+    tops = buf[16 * i + 7 :: 16 * width][:b]
+    js = list(map(getitem, map(guides.__getitem__, rows), tops))
+    lanes = list(compress(range(b), map(eq, js, repeat(-1))))
+    offsets = map(add, map(mul, lanes, repeat(2 * width)), repeat(2 * i))
+    lane_words = map(words.__getitem__, offsets)
+    lane_rows = map(thresholds.__getitem__, map(rows.__getitem__, lanes))
+    for t, j in zip(lanes, map(bisect_right, lane_rows, lane_words)):
+        js[t] = j
+    return js
+
+
+def _columns(chain: KernelChain, n: int, seed: int, count: int, initial: Measure | None = None):
+    """An iterator over the blocks of `count` horizon-n trajectories: each block
+    is a list of n columns, column i holding each trajectory's codomain index at
+    step i+1.  The arguments are checked here, before any word is drawn."""
     _check_horizon(chain, n)
     if count < 0:
         raise KernelAlgError("trajectory count must be nonnegative")
@@ -319,33 +360,85 @@ def sample(
             f"initial distribution on {init.space}, chain starts in {chain.start}"
         )
     init.require_probability()
+    return _blocks(chain, n, seed, count, init)
 
-    rng = SplitMix64(seed)
+
+def _blocks(chain: KernelChain, n: int, seed: int, count: int, init: Measure):
     width = n + 1  # words per trajectory: the start, then one per step
-    start = _thresholds(init)
-    # one threshold list per distinct step kernel, holding one table per row
-    steps = {id(step): step for step in chain.steps[:n]}
-    built = {key: list(map(_thresholds, step.rows)) for key, step in steps.items()}
+    tables = {}  # id(row) -> [thresholds, split buckets, guide], per distinct row
+
+    def table(row):
+        got = tables.get(id(row))
+        if got is None:
+            thresholds = _thresholds(row)
+            # a bucket with a threshold strictly inside is split: its entry is -1
+            split = len({x >> 56 for x in thresholds if x & _BUCKET})
+            got = tables[id(row)] = [thresholds, split, None]
+        return got
+
+    def plan_rows(rows):
+        """The thresholds and guides of a list of rows.  When most buckets
+        are split, most lanes would end in bisection anyway, and the rows are
+        drawn by bisection alone (guides None), with no guide built."""
+        got = list(map(table, rows))
+        thresholds = [g[0] for g in got]
+        if 2 * sum(g[1] for g in got) > 256 * len(got):
+            return thresholds, None
+        for g in got:
+            if g[2] is None:
+                g[2] = _guide(g[0])
+        return thresholds, [g[2] for g in got]
+
+    built = {}  # id(step) -> plan_rows(step.rows), per distinct step kernel
+    for step in chain.steps[:n]:
+        if id(step) not in built:
+            built[id(step)] = plan_rows(step.rows)
     reads_last = chain._reads_last(n)
     track = not all(reads_last)  # the history index is kept if a step reads it
     plan = [
-        (built[id(step)], last, step.codomain.size, step.codomain.atoms)
+        (built[id(step)], last, step.codomain.size)
         for step, last in zip(chain.steps, reads_last)
     ]
+    start = plan_rows([init])
     per_block = max(1, _CHUNK // width)
-    out = []
+    state = seed
     for done in range(0, count, per_block):
         b = min(per_block, count - done)
-        words = rng.take(b * width)
+        buf = _mix(state).to_bytes(16 * _CHUNK, "little")
+        words = array("Q", buf)  # the low and high halves of each lane
+        if sys.byteorder == "big":
+            words.byteswap()
+        state = (state + b * width * _GAMMA) & _MASK
         # hs[t] is the row-major index of trajectory t's history drawn so far,
         # js[t] the index of the state it drew last
-        hs = js = list(map(bisect_right, repeat(start, b), words[::width]))
+        hs = js = _draw(buf, words, 0, width, b, *start, [0] * b)
         columns = []
-        for i, (tables, last, size, atoms) in enumerate(plan, 1):
-            rows = map(tables.__getitem__, js if last else hs)
-            js = list(map(bisect_right, rows, words[i::width]))
-            columns.append(map(atoms.__getitem__, js))
+        for i, (step_tables, last, size) in enumerate(plan, 1):
+            js = _draw(buf, words, i, width, b, *step_tables, js if last else hs)
+            columns.append(js)
             if track:
                 hs = list(map(add, map(mul, hs, repeat(size)), js))
-        out += zip(*columns)
+        yield columns
+
+
+def sample(
+    chain: KernelChain,
+    n: int,
+    seed: int,
+    count: int,
+    initial: Measure | None = None,
+):
+    """Draw `count` horizon-n trajectories, reproducibly for a given seed.
+
+    Returns a list of n-tuples of atoms.  The empirical distribution converges
+    to trajectory_law(chain, n); determinism is bit-exact per seed.  The words
+    are drawn a packed block of trajectories at a time, each step as one
+    column through its rows' guide tables (see _guide and _draw); every word
+    and threshold is the one a next_u64 call per draw would compare.
+    """
+    blocks = _columns(chain, n, seed, count, initial)
+    atoms = [step.codomain.atoms for step in chain.steps[:n]]
+    out = []
+    for columns in blocks:
+        out += zip(*[map(a.__getitem__, js) for a, js in zip(atoms, columns)])
     return out

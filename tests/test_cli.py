@@ -1,6 +1,7 @@
 import itertools
 import json
 import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -168,13 +169,65 @@ def test_simulate_output_renders_reference_sampler(capsys):
     assert cases > 0
 
 
-def test_simulate_output_spans_several_writes(capsys):
+class Writes(list):
+    """A stdout that keeps each write."""
+
+    write = list.append
+
+
+def test_simulate_output_spans_several_writes(capsys, monkeypatch):
+    # three blocks of the sampler at n = 2, each written as it is drawn
     path = DATA / "06_three_state.kd"
-    seed, count = (1 << 64) - 1, 2 * cli._WRITE_BLOCK + 1
+    seed, count = (1 << 64) - 1, 2 * (sequential._CHUNK // 3) + 1
     argv = ["simulate", str(path), "--chain", "walk", "-n", "2",
             "--seed", str(seed), "--count", str(count)]
     chain = parse_document(path.read_text(encoding="utf-8")).chains["walk"]
-    assert simulate_outputs(capsys, argv) == reference_outputs(chain, 2, seed, count)
+    want = reference_outputs(chain, 2, seed, count)
+    assert simulate_outputs(capsys, argv) == want
+    for flags, expected in (([], want[0]), (["--json"], want[1])):
+        writes = Writes()
+        monkeypatch.setattr(sys, "stdout", writes)
+        assert main(argv + flags) == 0
+        assert len(writes) > 2 and "".join(writes) == expected
+
+
+def test_simulate_refusals_print_nothing(capsys, tmp_path):
+    # Checked before any word is drawn, so --json never opens its array.
+    doc = tmp_path / "other.kd"
+    steps = (DATA / "10_steps_chain.kd").read_text()
+    doc.write_text(steps + "measure m on T = { u: 1, v: 0, w: 0 }\n")
+    walk = ["simulate", str(DATA / "06_three_state.kd"), "--chain", "walk", "--seed", "1"]
+    for argv, message in (
+        (walk + ["-n", "2", "--count", "-1"], "trajectory count must be nonnegative"),
+        (walk + ["-n", "0", "--count", "3"], "horizon 0 outside 1..4"),
+        (["simulate", str(doc), "--chain", "two", "-n", "2", "--seed", "1", "--count", "3",
+          "--initial", "m"], "initial distribution on T, chain starts in S"),
+    ):
+        for flags in ([], ["--json"]):
+            assert run(capsys, *argv, *flags) == (2, "", f"error: {message}\n")
+
+
+class Discard:
+    def write(self, text):
+        return len(text)
+
+
+def test_simulate_memory_does_not_grow_with_count(monkeypatch):
+    # Each block is written as it is drawn, so ten times the trajectories
+    # needs about the same peak memory.
+    monkeypatch.setattr(sys, "stdout", Discard())
+    argv = ["simulate", str(DATA / "06_three_state.kd"), "--chain", "walk", "-n", "4",
+            "--seed", "5", "--count"]
+    assert main(argv + ["1"]) == 0  # imports are done before anything is traced
+    peaks = []
+    for count in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(count)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 def test_simulate_steps_chain_needs_initial(capsys):

@@ -142,7 +142,7 @@ LATE_BOUND = {
     ("bayes", "posterior"): ["eval", WEATHER, "--expr", "posterior(k, mu)"],
     ("algebra", "compose"): ["eval", WEATHER, "--expr", "comp(k, k)"],
     ("laws", "run_laws"): ["check", WEATHER, "--laws", "all"],
-    ("sequential", "sample"): [
+    ("sequential", "_columns"): [
         "simulate", WEATHER, "--chain", "c", "-n", "2", "--seed", "42", "--count", "5",
     ],
     ("analytics", "hoeffding_check"): [

@@ -1,6 +1,7 @@
 import random
 import sys
 import time
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -368,6 +369,63 @@ def test_sample_matches_dict_keyed_oracle():
                         assert got == reference_sample(chain, n, seed, count, init)
                         assert got == sample_oracle(explicit, n, seed, count, init)
                         assert all(type(t) is tuple and len(t) == n for t in got)
+
+
+def row_of(rng, nums, space=None):
+    """The probability row nums / sum(nums), on a fresh space by default."""
+    space = space or fresh_space(rng, len(nums), len(nums))
+    return Measure(space, [Fraction(k, sum(nums)) for k in nums])
+
+
+def guide_rows(rng):
+    rows = [random_probability(rng, fresh_space(rng, 8), max_den=997) for _ in range(20)]
+    rows += [row_of(rng, [rng.randint(0, 10**6) for _ in range(6)]) for _ in range(20)]
+    rows += [row_of(rng, genlib._split_total(rng, 256, 7)) for _ in range(10)]  # k/256
+    rows += [row_of(rng, [1, 2, 5]), row_of(rng, [1, 1]), row_of(rng, [255, 1])]
+    rows += [row_of(rng, [0, 1, 2]), row_of(rng, [1, 0, 0, 2]), row_of(rng, [1, 2, 0])]
+    rows += [row_of(rng, [0, 3, 0, 5, 0]), row_of(rng, [0, 0, 1, 0, 0]), row_of(rng, [1])]
+    rows.append(row_of(rng, [rng.randint(0, 50) for _ in range(300)]))
+    return rows
+
+
+def test_guide_tables_match_bisect_bucket_by_bucket():
+    # Entry t stands for every word of [t * 2**56, (t+1) * 2**56): it is the
+    # bisect at the bucket's first and last word, or -1 exactly when a
+    # threshold lies strictly inside the bucket.
+    ambiguous = 0
+    for row in guide_rows(random.Random(256)):
+        thresholds = sequential._thresholds(row)
+        guide = sequential._guide(thresholds)
+        assert len(guide) == 256
+        for t, entry in enumerate(guide):
+            first, last = t << 56, ((t + 1) << 56) - 1
+            if any(first < x <= last for x in thresholds):
+                assert entry == -1
+                ambiguous += 1
+            else:
+                assert entry == bisect_right(thresholds, first) == bisect_right(thresholds, last)
+        if 256 % row.den == 0:  # weights in 1/256ths: every threshold on an edge
+            assert -1 not in guide
+    assert ambiguous > 300
+
+
+def test_sample_matches_reference_on_wide_rows_and_history_chains():
+    # A 300-atom step splits most buckets, so it draws by bisection alone; an
+    # inhomogeneous chain reads its history.  Counts sit at one block's edges.
+    rng = random.Random(300)
+    s = fresh_space(rng, 300, 300)
+    k = Kernel(s, s, [row_of(rng, [rng.randint(0, 50) for _ in s.atoms], s) for _ in s.atoms])
+    wide = markov_chain(row_of(rng, [rng.randint(0, 9) for _ in s.atoms], s), k, 3)
+    history = random_chain(random.Random(7), length=3, max_atoms=5)
+    other = random_probability(rng, history.start, max_den=97)
+    for chain, init in ((wide, None), (history, other)):
+        for n in range(1, len(chain) + 1):
+            block = sequential._CHUNK // (n + 1)
+            for count in (block - 1, block, block + 1):
+                seed = rng.getrandbits(64)
+                assert sample(chain, n, seed, count, init) == reference_sample(
+                    chain, n, seed, count, init
+                )
 
 
 def test_long_markov_chain_declares_fast_and_samples_like_oracle(monkeypatch):
