@@ -109,10 +109,10 @@ def _cmd_simulate(args) -> int:
         quote, opens, closes = dumps, [",["] + [","] * (n - 1), [""] * (n - 1) + ["]"]
     else:
         quote, opens, closes = str, [""] * n, ["→"] * (n - 1) + ["\n"]
-    labels = {id(s): [quote(format_atom(a)) for a in s.codomain.atoms] for s in steps}
     # texts[i][j] is atom j of step i+1's codomain, its separators attached
     texts = [
-        [o + label + c for label in labels[id(s)]] for s, o, c in zip(steps, opens, closes)
+        [o + quote(format_atom(a)) + c for a in s.codomain.atoms]
+        for s, o, c in zip(steps, opens, closes)
     ]
     write = sys.stdout.write
     if args.json:

@@ -22,8 +22,9 @@ packed lanes, and draws each step of a block of trajectories as one column.
 A column is drawn through guide tables (Chen and Asau 1974; Devroye 1986,
 III.2): each row's table maps a word's top byte to the atom that every word
 of that bucket draws, and a word whose bucket holds a threshold is compared
-with the thresholds in full, so the draw is the same atom.  The CLI writes
-each block of trajectories as it is drawn.
+with the thresholds in full, so the draw is the same atom.  A row's table is
+built when a trajectory first reads the row.  The CLI writes each block of
+trajectories as it is drawn.
 
 A chain of more than MAX_CHAIN_STEPS steps is refused when it is declared.
 The horizon-n trajectory kernel has |history_n| entries, so traj_kernel
@@ -37,7 +38,7 @@ import sys
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, compress, repeat
-from operator import add, eq, getitem, mul
+from operator import add, eq, getitem, lt, mul
 
 from .algebra import comp_measure, comp_prod, marginal_fst
 from .errors import HorizonOutOfRange, KernelAlgError, SpaceMismatch
@@ -69,10 +70,12 @@ MAX_HISTORY_ATOMS = 1 << 20
 MAX_CHAIN_STEPS = 64
 
 _MASK = (1 << 64) - 1
-_BUCKET = (1 << 56) - 1  # a word's bits below its top byte
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# A guide entry that decides nothing: the lane's word meets the thresholds.
+_SPLIT = 255
+_BYTES = [bytes([j]) for j in range(_SPLIT)]
 
 
 # Words per packed block: SplitMix64.take computes this many at once, and
@@ -114,6 +117,11 @@ def _mix(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_seed(seed: int):
+    if not 0 <= seed <= _MASK:
+        raise ValueError("seed must be an unsigned 64-bit integer")
+
+
 def _block(state: int):
     """The _CHUNK words that follow `state`, in order."""
     return _low_words(_mix(state), sys.byteorder)
@@ -133,8 +141,7 @@ class SplitMix64:
     algorithm = PRNG_ALGORITHM
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+        _check_seed(seed)
         self.seed = seed
         self.state = seed
 
@@ -309,39 +316,56 @@ def flatten_trajectory(n: int, atom) -> tuple:
     return tuple(reversed(parts))
 
 
-def _guide(thresholds: list) -> list:
+def _guide(thresholds: list) -> bytes:
     """The guide table of a row's thresholds, on a word's top byte: entry t is
     the atom that every word of the bucket [t * 2**56, (t+1) * 2**56) draws, or
-    -1 when a threshold falls strictly inside the bucket.  Atom j owns the
-    buckets that lie inside [thresholds[j-1], thresholds[j]); a zero-weight
-    atom owns none."""
-    guide = [-1] * 256
-    low = 0
-    for j, high in enumerate(thresholds):
-        first, end = -(-low >> 56), high >> 56
-        guide[first:end] = [j] * (end - first)
-        low = high
-    return guide
+    _SPLIT when a threshold falls strictly inside the bucket or the atom is
+    _SPLIT or above.  Atom j owns the buckets that lie inside
+    [thresholds[j-1], thresholds[j]); a zero-weight atom owns none."""
+    guide = bytearray([_SPLIT]) * 256
+    ends = [x >> 56 for x in thresholds[:_SPLIT]]
+    firsts = [0] + [-(-x >> 56) for x in thresholds[: len(ends) - 1]]
+    for j in compress(range(len(ends)), map(lt, firsts, ends)):
+        guide[firsts[j] : ends[j]] = _BYTES[j] * (ends[j] - firsts[j])
+    return bytes(guide)
 
 
-def _draw(buf: bytes, words, i: int, width: int, b: int, thresholds: list, guides, rows):
+class _Tables(dict):
+    """Row index -> guide table of a list of rows, built the first time a lane
+    reads the row, with the row's thresholds beside it in .thresholds.  A row
+    object is tabled once, in `shared` (id(row) -> (thresholds, guide))."""
+
+    __slots__ = ("rows", "shared", "thresholds")
+
+    def __init__(self, rows, shared: dict):
+        self.rows, self.shared, self.thresholds = rows, shared, {}
+
+    def __missing__(self, h):
+        row = self.rows[h]
+        got = self.shared.get(id(row))
+        if got is None:
+            thresholds = _thresholds(row)
+            got = self.shared[id(row)] = thresholds, _guide(thresholds)
+        self.thresholds[h], self[h] = got
+        return got[1]
+
+
+def _draw(buf: bytes, words, i: int, width: int, b: int, tables: _Tables, rows):
     """Column i of a block: the atom each of its b trajectories draws from the
     row it reads, rows[t].  The guide entry of the word's top byte decides a
-    lane, and a -1 lane is decided by its whole word against the row's
-    thresholds.  With no guides (None), every lane is."""
+    lane, and a _SPLIT lane is decided by its whole word against the row's
+    thresholds."""
     # word t * width + i of the block is words[2 * (t * width + i)], and its
     # top byte is buf[16 * (t * width + i) + 7]
-    if guides is None:
-        column = words[2 * i :: 2 * width][:b]
-        return list(map(bisect_right, map(thresholds.__getitem__, rows), column))
     tops = buf[16 * i + 7 :: 16 * width][:b]
-    js = list(map(getitem, map(guides.__getitem__, rows), tops))
-    lanes = list(compress(range(b), map(eq, js, repeat(-1))))
-    offsets = map(add, map(mul, lanes, repeat(2 * width)), repeat(2 * i))
-    lane_words = map(words.__getitem__, offsets)
-    lane_rows = map(thresholds.__getitem__, map(rows.__getitem__, lanes))
-    for t, j in zip(lanes, map(bisect_right, lane_rows, lane_words)):
-        js[t] = j
+    js = list(map(getitem, map(tables.__getitem__, rows), tops))
+    if _SPLIT in js:
+        column = words[2 * i :: 2 * width]
+        lanes = list(compress(range(b), map(eq, js, repeat(_SPLIT))))
+        lane_words = map(column.__getitem__, lanes)
+        lane_rows = map(tables.thresholds.__getitem__, map(rows.__getitem__, lanes))
+        for t, j in zip(lanes, map(bisect_right, lane_rows, lane_words)):
+            js[t] = j
     return js
 
 
@@ -360,46 +384,24 @@ def _columns(chain: KernelChain, n: int, seed: int, count: int, initial: Measure
             f"initial distribution on {init.space}, chain starts in {chain.start}"
         )
     init.require_probability()
+    _check_seed(seed)
     return _blocks(chain, n, seed, count, init)
 
 
 def _blocks(chain: KernelChain, n: int, seed: int, count: int, init: Measure):
     width = n + 1  # words per trajectory: the start, then one per step
-    tables = {}  # id(row) -> [thresholds, split buckets, guide], per distinct row
-
-    def table(row):
-        got = tables.get(id(row))
-        if got is None:
-            thresholds = _thresholds(row)
-            # a bucket with a threshold strictly inside is split: its entry is -1
-            split = len({x >> 56 for x in thresholds if x & _BUCKET})
-            got = tables[id(row)] = [thresholds, split, None]
-        return got
-
-    def plan_rows(rows):
-        """The thresholds and guides of a list of rows.  When most buckets
-        are split, most lanes would end in bisection anyway, and the rows are
-        drawn by bisection alone (guides None), with no guide built."""
-        got = list(map(table, rows))
-        thresholds = [g[0] for g in got]
-        if 2 * sum(g[1] for g in got) > 256 * len(got):
-            return thresholds, None
-        for g in got:
-            if g[2] is None:
-                g[2] = _guide(g[0])
-        return thresholds, [g[2] for g in got]
-
-    built = {}  # id(step) -> plan_rows(step.rows), per distinct step kernel
+    shared = {}  # id(row) -> (thresholds, guide), per distinct row read
+    built = {}  # id(step) -> _Tables of its rows, per distinct step kernel
     for step in chain.steps[:n]:
         if id(step) not in built:
-            built[id(step)] = plan_rows(step.rows)
+            built[id(step)] = _Tables(step.rows, shared)
     reads_last = chain._reads_last(n)
     track = not all(reads_last)  # the history index is kept if a step reads it
     plan = [
         (built[id(step)], last, step.codomain.size)
         for step, last in zip(chain.steps, reads_last)
     ]
-    start = plan_rows([init])
+    start = _Tables([init], shared)
     per_block = max(1, _CHUNK // width)
     state = seed
     for done in range(0, count, per_block):
@@ -411,10 +413,10 @@ def _blocks(chain: KernelChain, n: int, seed: int, count: int, init: Measure):
         state = (state + b * width * _GAMMA) & _MASK
         # hs[t] is the row-major index of trajectory t's history drawn so far,
         # js[t] the index of the state it drew last
-        hs = js = _draw(buf, words, 0, width, b, *start, [0] * b)
+        hs = js = _draw(buf, words, 0, width, b, start, [0] * b)
         columns = []
         for i, (step_tables, last, size) in enumerate(plan, 1):
-            js = _draw(buf, words, i, width, b, *step_tables, js if last else hs)
+            js = _draw(buf, words, i, width, b, step_tables, js if last else hs)
             columns.append(js)
             if track:
                 hs = list(map(add, map(mul, hs, repeat(size)), js))
@@ -433,8 +435,9 @@ def sample(
     Returns a list of n-tuples of atoms.  The empirical distribution converges
     to trajectory_law(chain, n); determinism is bit-exact per seed.  The words
     are drawn a packed block of trajectories at a time, each step as one
-    column through its rows' guide tables (see _guide and _draw); every word
-    and threshold is the one a next_u64 call per draw would compare.
+    column through its rows' guide tables (see _guide and _draw), built for a
+    row when a trajectory first reads it; every word and threshold is the one
+    a next_u64 call per draw would compare.
     """
     blocks = _columns(chain, n, seed, count, initial)
     atoms = [step.codomain.atoms for step in chain.steps[:n]]

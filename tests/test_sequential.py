@@ -127,6 +127,18 @@ def test_seed_validation():
         SplitMix64(1 << 64)
 
 
+@pytest.mark.parametrize("seed, count", [(-1, 0), (1 << 64, 1), ((1 << 64) + 5, 1)])
+def test_sample_refuses_a_seed_outside_64_bits(seed, count):
+    # The check runs with the other argument checks, before any word is drawn,
+    # so a seed is never reduced mod 2**64 or borrowed across lanes.
+    chain = markov_chain(uniform(weather_kernel().domain), weather_kernel(), 2)
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        sample(chain, 1, seed, count)
+    with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+        sequential._columns(chain, 1, seed, count)
+    assert sample(chain, 2, (1 << 64) - 1, 3) == reference_sample(chain, 2, (1 << 64) - 1, 3)
+
+
 # -- trajectory kernels ------------------------------------------------------------
 
 
@@ -385,33 +397,40 @@ def guide_rows(rng):
     rows += [row_of(rng, [0, 1, 2]), row_of(rng, [1, 0, 0, 2]), row_of(rng, [1, 2, 0])]
     rows += [row_of(rng, [0, 3, 0, 5, 0]), row_of(rng, [0, 0, 1, 0, 0]), row_of(rng, [1])]
     rows.append(row_of(rng, [rng.randint(0, 50) for _ in range(300)]))
+    rows.append(row_of(rng, [1] * 299 + [10**6]))  # atom 299 owns most buckets
     return rows
 
 
 def test_guide_tables_match_bisect_bucket_by_bucket():
     # Entry t stands for every word of [t * 2**56, (t+1) * 2**56): it is the
-    # bisect at the bucket's first and last word, or -1 exactly when a
-    # threshold lies strictly inside the bucket.
-    ambiguous = 0
+    # bisect at the bucket's first and last word, or _SPLIT exactly when a
+    # threshold lies strictly inside the bucket or that bisect is _SPLIT or more.
+    split = sequential._SPLIT
+    ambiguous = wide = 0
     for row in guide_rows(random.Random(256)):
         thresholds = sequential._thresholds(row)
         guide = sequential._guide(thresholds)
-        assert len(guide) == 256
+        assert type(guide) is bytes and len(guide) == 256
         for t, entry in enumerate(guide):
             first, last = t << 56, ((t + 1) << 56) - 1
+            j = bisect_right(thresholds, first)
             if any(first < x <= last for x in thresholds):
-                assert entry == -1
+                assert entry == split
                 ambiguous += 1
+            elif j >= split:
+                assert entry == split and j == bisect_right(thresholds, last)
+                wide += 1
             else:
-                assert entry == bisect_right(thresholds, first) == bisect_right(thresholds, last)
+                assert entry == j == bisect_right(thresholds, last)
         if 256 % row.den == 0:  # weights in 1/256ths: every threshold on an edge
-            assert -1 not in guide
-    assert ambiguous > 300
+            assert split not in guide
+    assert ambiguous > 300 and wide > 0
 
 
 def test_sample_matches_reference_on_wide_rows_and_history_chains():
-    # A 300-atom step splits most buckets, so it draws by bisection alone; an
-    # inhomogeneous chain reads its history.  Counts sit at one block's edges.
+    # A 300-atom step splits most buckets and its atoms from _SPLIT on own
+    # none, so most lanes end in bisection; an inhomogeneous chain reads its
+    # history.  Counts sit at one block's edges.
     rng = random.Random(300)
     s = fresh_space(rng, 300, 300)
     k = Kernel(s, s, [row_of(rng, [rng.randint(0, 50) for _ in s.atoms], s) for _ in s.atoms])
@@ -426,6 +445,24 @@ def test_sample_matches_reference_on_wide_rows_and_history_chains():
                 assert sample(chain, n, seed, count, init) == reference_sample(
                     chain, n, seed, count, init
                 )
+
+
+def test_sample_tables_only_the_rows_it_reads(monkeypatch):
+    # A step over the whole history has one row per history atom; sample
+    # builds thresholds and a guide for a row object the first time a
+    # trajectory reads it, so one trajectory tables one row per step.
+    chain = random_chain(random.Random(11), length=4, max_atoms=5)
+    init = random_probability(random.Random(12), chain.start, max_den=97)
+    built = []
+    thresholds = sequential._thresholds
+    monkeypatch.setattr(sequential, "_thresholds", lambda row: built.append(row) or thresholds(row))
+    got = sample(chain, 4, 5, 1, init)
+    assert len(built) <= 5 < sum(len(step.rows) for step in chain.steps)
+    assert got == reference_sample(chain, 4, 5, 1, init)
+    built.clear()
+    got = sample(chain, 4, 6, 3000, init)
+    assert len(built) == len(set(map(id, built)))  # each row object once
+    assert got == reference_sample(chain, 4, 6, 3000, init)
 
 
 def test_long_markov_chain_declares_fast_and_samples_like_oracle(monkeypatch):
