@@ -578,15 +578,15 @@ def hoeffding_check(
     refused before the variable is certified.
     The variable must certify sub-Gaussian with constant sigma^2 first: by
     bounded range if that gives a constant <= sigma^2, otherwise by an
-    explicit grid check at sigma^2.
+    explicit grid check at sigma^2.  sigma_sq=None takes the bounded-range
+    constant, and a nonzero mean is raised as NonzeroMean.
     """
-    sigma_sq = Fraction(sigma_sq)
     t = Fraction(t)
     if n < 1:
         raise KernelAlgError("n must be at least 1")
     if t <= 0:
         raise KernelAlgError("threshold t must be positive")
-    if sigma_sq <= 0:
+    if sigma_sq is not None and Fraction(sigma_sq) <= 0:
         raise NotCertified("sigma^2 must be positive")
     scope = PlainMeasureScope(mu)
     (row,) = _scope_rows(x, scope)
@@ -597,17 +597,24 @@ def hoeffding_check(
         key = v.numerator * (scale // v.denominator)
         law[key] = law.get(key, 0) + m
     _check_convolution_size(law, n, row.den)
-    try:
+    if sigma_sq is None:
         certificate = certify_bounded_range(x, scope)
-        if certificate.constant > sigma_sq:
-            certificate = certify_grid(
-                x, scope, sigma_sq, Fraction(10), Fraction(1, 100)
-            )
-    except (NonzeroMean, GridViolation) as exc:
-        raise NotCertified(
-            "variable does not certify sub-Gaussian at "
-            f"{_format_rational(sigma_sq)}: {exc}"
-        ) from exc
+        sigma_sq = certificate.constant
+        if sigma_sq <= 0:
+            raise NotCertified("sigma^2 must be positive")
+    else:
+        sigma_sq = Fraction(sigma_sq)
+        try:
+            certificate = certify_bounded_range(x, scope)
+            if certificate.constant > sigma_sq:
+                certificate = certify_grid(
+                    x, scope, sigma_sq, Fraction(10), Fraction(1, 100)
+                )
+        except (NonzeroMean, GridViolation) as exc:
+            raise NotCertified(
+                "variable does not certify sub-Gaussian at "
+                f"{_format_rational(sigma_sq)}: {exc}"
+            ) from exc
 
     total = dict(law)
     for _ in range(n - 1):

@@ -160,16 +160,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_hoeffding(args) -> int:
-    from .analytics import PlainMeasureScope, certify_bounded_range, hoeffding_check
+    """hoeffding_check at --sigma2, or else at the bounded-range constant."""
+    from .analytics import hoeffding_check
 
     doc = _load(args.file)
     x = doc.lookup("realrv", args.rv)
     mu = doc.lookup("measure", args.measure)
-    if args.sigma2 is not None:
-        sigma_sq = Fraction(args.sigma2)
-    else:
-        sigma_sq = certify_bounded_range(x, PlainMeasureScope(mu)).constant
-    report = hoeffding_check(x, mu, sigma_sq, args.n, Fraction(args.t))
+    report = hoeffding_check(x, mu, args.sigma2, args.n, args.t)
     if args.json:
         from .jsonio import dumps
 

@@ -78,8 +78,8 @@ _SPLIT = 255
 _BYTES = [bytes([j]) for j in range(_SPLIT)]
 
 
-# Words per packed block: SplitMix64.take computes this many at once, and
-# sample draws the trajectories that fit in one block together.
+# Words per packed block: the sampler computes this many at once and draws the
+# trajectories that fit in one block together.
 _CHUNK = 2048
 # (ones, gamma ramp, low-word mask) over _CHUNK 128-bit lanes, built on first use
 _lanes = None
@@ -97,14 +97,6 @@ def _lane_constants():
     return _lanes
 
 
-def _low_words(z: int, byteorder: str):
-    """The low 64 bits of each 128-bit lane of z, lane 0 first, as read by a
-    host of the given byte order."""
-    words = memoryview(z.to_bytes(16 * _CHUNK, byteorder)).cast("Q")
-    # little: lo_0, hi_0, lo_1, ...; big: hi_last, lo_last, ..., hi_0, lo_0
-    return words[::2] if byteorder == "little" else words[::-2]
-
-
 def _mix(state: int) -> int:
     """The _CHUNK words that follow `state`, packed: lane i (bits 128i up)
     holds state + (i+1) * gamma put through the finalizer in place, the word in
@@ -117,14 +109,18 @@ def _mix(state: int) -> int:
     return z ^ (z >> 31)
 
 
+def _words(buf: bytes, byteorder: str = sys.byteorder) -> array:
+    """The 64-bit words of little-endian bytes as a host of the given byte order
+    reads them: in a packed block, lane i's word is words[2 * i]."""
+    words = array("Q", buf)
+    if byteorder == "big":
+        words.byteswap()
+    return words
+
+
 def _check_seed(seed: int):
     if not 0 <= seed <= _MASK:
         raise ValueError("seed must be an unsigned 64-bit integer")
-
-
-def _block(state: int):
-    """The _CHUNK words that follow `state`, in order."""
-    return _low_words(_mix(state), sys.byteorder)
 
 
 class SplitMix64:
@@ -133,7 +129,8 @@ class SplitMix64:
     next_u64 advances the state by the golden-gamma increment and applies the
     standard two-round xor-shift-multiply finalizer.  Seed 0 produces the
     well-known first outputs 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, ...
-    take(k) returns the next k words at once, the same as k calls of next_u64.
+    It is the reference the sampler is tested against: take(k) is k calls of
+    next_u64, and only the sampler packs a block of words (_mix, _words).
     """
 
     __slots__ = ("seed", "state")
@@ -153,17 +150,10 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def take(self, k: int) -> list:
-        """The next k words, computed a packed block at a time."""
+        """The next k words, one next_u64 call each."""
         if k < 0:
             raise ValueError("word count must be nonnegative")
-        out = []
-        state = self.state
-        for done in range(0, k, _CHUNK):
-            m = min(_CHUNK, k - done)
-            out += _block(state)[:m].tolist()
-            state = (state + m * _GAMMA) & _MASK
-        self.state = state
-        return out
+        return [self.next_u64() for _ in range(k)]
 
 
 def _thresholds(row: Measure) -> list:
@@ -407,9 +397,7 @@ def _blocks(chain: KernelChain, n: int, seed: int, count: int, init: Measure):
     for done in range(0, count, per_block):
         b = min(per_block, count - done)
         buf = _mix(state).to_bytes(16 * _CHUNK, "little")
-        words = array("Q", buf)  # the low and high halves of each lane
-        if sys.byteorder == "big":
-            words.byteswap()
+        words = _words(buf)
         state = (state + b * width * _GAMMA) & _MASK
         # hs[t] is the row-major index of trajectory t's history drawn so far,
         # js[t] the index of the state it drew last

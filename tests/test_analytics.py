@@ -575,6 +575,25 @@ def test_hoeffding_preconditions():
         hoeffding_check(shifted, uniform(s), 1, 5, 1)
 
 
+def test_hoeffding_without_sigma_sq_takes_the_bounded_range_constant(monkeypatch):
+    x, mu = rademacher()
+    report = hoeffding_check(x, mu, None, 10, 4)
+    assert report == hoeffding_check(x, mu, 1, 10, 4)
+    assert report.certificate.constant == 1
+    s = Base(FiniteSpace("S", ["a", "b"]))
+    # a nonzero mean is raised as it is, after the argument and size checks
+    with pytest.raises(NonzeroMean, match="exact mean 1, expected 0"):
+        hoeffding_check(RealRV(s, [2, 0]), uniform(s), None, 5, 1)
+    with pytest.raises(KernelAlgError, match="n must be at least 1"):
+        hoeffding_check(RealRV(s, [2, 0]), uniform(s), None, 0, 1)
+    with monkeypatch.context() as patch, pytest.raises(KernelAlgError, match="visits"):
+        patch.setattr(analytics, "MAX_HOEFFDING_WORK", 0)
+        hoeffding_check(RealRV(s, [2, 0]), uniform(s), None, 5, 1)
+    # a constant variable has range constant 0, which bounds nothing
+    with pytest.raises(NotCertified, match=r"sigma\^2 must be positive"):
+        hoeffding_check(RealRV(s, [0, 0]), uniform(s), None, 5, 1)
+
+
 def test_hoeffding_grid_of_thresholds():
     x, mu = rademacher()
     for n in (1, 5, 12, 20):

@@ -514,6 +514,44 @@ def test_hoeffding_not_certified_exit_1(capsys):
     assert "not certified" in err
 
 
+@pytest.mark.parametrize("n, t, message", [
+    ("0", "1", "n must be at least 1"),
+    ("5", "0", "threshold t must be positive"),
+    ("1000000", "1",
+     "the 1000000-fold convolution visits up to 5999997999996 (sum, value) pairs "
+     "of weights of up to 3000000 bits, 5999997999996 * (3000000 + 1600) "
+     "= 18009593996787993600 pair-bits, above the limit of 34359738368"),
+], ids=["n", "t", "size"])
+@pytest.mark.parametrize("sigma2", [[], ["--sigma2", "1"]], ids=["derived", "given"])
+def test_hoeffding_checks_arguments_before_it_certifies(capsys, n, t, message, sigma2):
+    # f has mean 5/2, so certifying it first would exit 1 with "not certified"
+    code, out, err = run(
+        capsys,
+        "hoeffding", str(DATA / "04_rv_partition.kd"),
+        "--rv", "f", "--measure", "u", "-n", n, "-t", t, *sigma2,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_hoeffding_certifies_bounded_range_once(capsys, monkeypatch):
+    from kernelalg import analytics
+
+    calls = []
+    certify = analytics.certify_bounded_range
+
+    def counted(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(analytics, "certify_bounded_range", counted)
+    code, out, err = run(
+        capsys, "hoeffding", str(DOCS / "rademacher.kd"),
+        "--rv", "X", "--measure", "mu", "-n", "10", "-t", "4",
+    )
+    assert (code, out, err) == (0, "exact tail 11/64 <= bound 0.449328964117: holds\n", "")
+    assert len(calls) == 1
+
+
 def test_long_chain_history_refused_exit_2(capsys, tmp_path):
     """A markov(...) chain holds its step, so 40 steps on 3 states simulate;
     traj(c, 40) would build the history space and is refused at the call."""

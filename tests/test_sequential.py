@@ -105,8 +105,18 @@ def test_take_pinned_first_words_and_validation():
         rng.take(-1)
 
 
+@pytest.mark.parametrize("seed", TAKE_SEEDS)
+def test_packed_block_is_the_next_words(seed):
+    # lane i of _mix(seed) holds the (i+1)-th word after seed, across the
+    # 2**64 wraparound of the state for the last two seeds
+    chunk = sequential._CHUNK
+    buf = sequential._mix(seed).to_bytes(16 * chunk, "little")
+    rng = SplitMix64(seed)
+    assert sequential._words(buf)[::2].tolist() == [rng.next_u64() for _ in range(chunk)]
+
+
 @pytest.mark.parametrize("byteorder", ["little", "big"])
-def test_low_words_decoding_on_either_byte_order(byteorder):
+def test_words_decoding_on_either_byte_order(byteorder):
     # Lane i holds word i in its low 64 bits and noise above; a host of the
     # given byte order reads the words back in lane order.  On a host of the
     # other order each decoded word comes out byte-swapped, so swap it back.
@@ -114,7 +124,7 @@ def test_low_words_decoding_on_either_byte_order(byteorder):
     chunk = sequential._CHUNK
     words = [rng.getrandbits(64) for _ in range(chunk)]
     z = sum((rng.getrandbits(64) << 64 | w) << (128 * i) for i, w in enumerate(words))
-    got = sequential._low_words(z, byteorder).tolist()
+    got = sequential._words(z.to_bytes(16 * chunk, "little"), byteorder)[::2].tolist()
     if byteorder != sys.byteorder:
         got = [int.from_bytes(w.to_bytes(8, "little"), "big") for w in got]
     assert got == words
